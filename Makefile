@@ -78,5 +78,6 @@ fuzz:
 	go test -fuzz FuzzIPRoundTrip -fuzztime 30s ./internal/netaddr/
 	go test -fuzz FuzzParsePrefix -fuzztime 30s ./internal/netaddr/
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/trace/
+	go test -fuzz FuzzDecodeBatch -fuzztime 30s ./internal/delta/
 
 check: vet lint build test race

@@ -35,10 +35,9 @@ func measureServe(rep *report, profile string, seed int64, queries, runs int) er
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
+	// The snapshot arrives with its serving tables built, so both modes
+	// measure serving — never table construction.
 	m := sys.MapInterconnections()
-	// Swap-time work happens here, as the daemon's writer loop would,
-	// so both modes measure serving — never table construction.
-	m.Materialize(0)
 	reqs, ips := buildServeRequests(m, queries)
 	if len(reqs) == 0 {
 		return fmt.Errorf("serve: no query targets in the snapshot")

@@ -25,8 +25,9 @@
 // Every query is answered from the current immutable snapshot and
 // stamped with its epoch (body and X-CFS-Epoch header); responses are
 // cached per epoch and the cache dies wholesale at each snapshot swap.
-// The writer loop materializes each snapshot's serving tables at the
-// swap, so queries are table reads — never snapshot-wide builds.
+// Each snapshot's serving tables are built before it is published
+// (from its predecessor's, re-rendering only what changed), so queries
+// are table reads — never snapshot-wide builds.
 // Writes — POSTed batches and, with -follow, records tailed from a
 // growing churn log — are serialized through one writer goroutine.
 //
@@ -57,7 +58,7 @@ func main() {
 		profile    = flag.String("profile", "small", "world profile: small, medium, default, paper or large")
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		iterations = flag.Int("iterations", 100, "CFS iteration cap")
-		workers    = flag.Int("workers", 0, "worker goroutines for the parallel search phases (0 = one per CPU)")
+		workers    = flag.Int("workers", 0, "worker goroutines for the parallel search phases and snapshot table builds (0 = one per CPU)")
 		engine     = flag.String("engine", "", "CFS iteration core: worklist (default) or rescan; deltas need worklist")
 		shards     = flag.Int("shards", 0, "metro-cluster shards for the worklist engine (0 = unsharded)")
 		follow     = flag.String("follow", "", "tail this JSONL churn log (see worldgen -churn -out) and apply new records")
@@ -92,11 +93,10 @@ func main() {
 		len(m.Result().Interfaces), m.Result().Resolved())
 
 	srv := serve.New(sys, serve.Options{
-		RequestTimeout:     *timeout,
-		MaxInFlight:        *inflight,
-		CacheEntries:       *cacheSize,
-		MaterializeWorkers: *workers,
-		Obs:                obs.New(0),
+		RequestTimeout: *timeout,
+		MaxInFlight:    *inflight,
+		CacheEntries:   *cacheSize,
+		Obs:            obs.New(0),
 	})
 
 	// The writer loop owns every Apply; canceling writerCtx begins the

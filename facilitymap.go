@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -150,7 +151,7 @@ func (s *System) MapInterconnections() *Mapping {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pipe, res := s.Env.RunCFSPipeline(c)
-	m := &Mapping{sys: s, res: res}
+	m := newMapping(s, res, nil)
 	s.pipe = pipe
 	s.cur.Store(m)
 	return m
@@ -162,8 +163,11 @@ func (s *System) MapInterconnections() *Mapping {
 // publishing and returning the next epoch's snapshot. The result is
 // bit-for-bit the mapping a fresh run over the mutated inputs would
 // produce (see the cfs package's differential tests for the exact
-// regime). Requires a prior MapInterconnections and an incremental
-// engine (the default).
+// regime). The snapshot's serving tables are built from its
+// predecessor's before it is published. Requires a prior
+// MapInterconnections and an incremental engine (the default). A
+// batch naming a facility outside the registry is rejected whole with
+// an error matching delta.ErrUnknownFacility.
 func (s *System) Apply(log []delta.Delta) (*Mapping, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -174,7 +178,7 @@ func (s *System) Apply(log []delta.Delta) (*Mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Mapping{sys: s, res: res}
+	m := newMapping(s, res, s.cur.Load())
 	s.cur.Store(m)
 	return m, nil
 }
@@ -184,42 +188,29 @@ func (s *System) Apply(log []delta.Delta) (*Mapping, error) {
 // concurrent Apply publishes a new one rather than mutating this one.
 func (s *System) Current() *Mapping { return s.cur.Load() }
 
-// Mapping is the outcome of one CFS run.
+// Mapping is the outcome of one CFS run: the immutable result plus the
+// query-serving tables derived from it. The tables are built before
+// the mapping is returned or published, so every accessor is a table
+// read and concurrent readers never race a build.
 type Mapping struct {
 	sys *System
 	res *cfs.Result
 
-	// The AS-pair interconnection index is derived from res.Links once
-	// per snapshot, on first use: Mapping is immutable, so the lazily
-	// built index is valid for the snapshot's whole lifetime and safe
-	// to share across concurrent readers.
-	ixnOnce sync.Once
-	ixnIdx  map[asPair][]int // normalized AS pair -> indices into res.Links
-
-	// The materialized tables (described records plus their rendered
-	// JSON) are built at most once per snapshot — eagerly by Materialize
-	// (the daemon's writer loop calls it right after each publish) or
-	// lazily by the first accessor that needs them. The atomic pointer
-	// lets fast paths peek without entering the Once.
-	matOnce sync.Once
-	mat     atomic.Pointer[materialized]
-}
-
-// materialized is a snapshot's query-serving tables, derived once from
-// res so the request hot path never re-describes an interface: the
-// describe() formatting, provenance dedup and JSON marshaling all
-// happen here, at swap time, instead of per request.
-type materialized struct {
 	// order lists every interface resolved-first, then in ascending
 	// address order — the Interfaces() and stream-dump ordering.
 	order []netaddr.IP
 	// index maps an interface address to its position in order.
 	index map[netaddr.IP]int
 	// infos[i] is the described record of order[i]; blobs[i] is its
-	// JSON rendering. Both are shared, immutable, and live exactly as
-	// long as the snapshot.
+	// JSON rendering. Both are immutable and may be shared with the
+	// neighbouring epochs' snapshots.
 	infos []InterfaceInfo
 	blobs [][]byte
+	// far[i] is the far-end AS of res.Links[i] (0 when unknown); with
+	// the link's NearAS it is the link's key in ixn.
+	far []world.ASN
+	// ixn maps a normalized AS pair to indices into res.Links.
+	ixn map[asPair][]int
 	// summary is the snapshot digest, pre-computed so /v1/snapshot
 	// never re-walks the router census per query.
 	summary SnapshotSummary
@@ -258,11 +249,9 @@ type InterfaceInfo struct {
 	Evidence []string
 }
 
-// Lookup reports the inference for one interface address. When the
-// snapshot has been materialized the answer is a table read; otherwise
-// the record is described on the fly (no full materialization is
-// triggered for a single lookup). Returned records share their slices
-// with the snapshot — treat them as read-only.
+// Lookup reports the inference for one interface address, read from
+// the snapshot's table. Returned records share their slices with the
+// snapshot — treat them as read-only.
 //
 //cfslint:hotpath
 func (m *Mapping) Lookup(ip string) (InterfaceInfo, bool) {
@@ -270,18 +259,11 @@ func (m *Mapping) Lookup(ip string) (InterfaceInfo, bool) {
 	if err != nil {
 		return InterfaceInfo{}, false
 	}
-	if mat := m.mat.Load(); mat != nil {
-		i, ok := mat.index[addr]
-		if !ok {
-			return InterfaceInfo{}, false
-		}
-		return mat.infos[i], true
-	}
-	ir, ok := m.res.Interfaces[addr]
+	i, ok := m.index[addr]
 	if !ok {
 		return InterfaceInfo{}, false
 	}
-	return m.describe(ir), true
+	return m.infos[i], true
 }
 
 // interfaceOrder returns the snapshot's canonical listing order —
@@ -312,19 +294,9 @@ func interfaceOrder(interfaces map[netaddr.IP]*cfs.InterfaceResult) []netaddr.IP
 }
 
 // Interfaces lists every inference, resolved first, in address order.
-// A materialized snapshot answers from its table; otherwise records
-// are described on the fly.
 func (m *Mapping) Interfaces() []InterfaceInfo {
-	if mat := m.mat.Load(); mat != nil {
-		out := make([]InterfaceInfo, len(mat.infos))
-		copy(out, mat.infos)
-		return out
-	}
-	ips := interfaceOrder(m.res.Interfaces)
-	out := make([]InterfaceInfo, 0, len(ips))
-	for _, ip := range ips {
-		out = append(out, m.describe(m.res.Interfaces[ip]))
-	}
+	out := make([]InterfaceInfo, len(m.infos))
+	copy(out, m.infos)
 	return out
 }
 
@@ -370,51 +342,116 @@ func parallelFold(n, workers int, fn func(shard, lo, hi int)) {
 	wg.Wait()
 }
 
-// Materialize builds the snapshot's query-serving tables — the
-// described record and rendered JSON of every interface, plus the
-// AS-pair interconnection index — in a parallel fold over `workers`
-// goroutines (0 = one per CPU). The daemon's writer loop calls this
-// right after each Apply publishes, so the first query after a swap
-// is a table read instead of a snapshot-wide build; calling it again
-// (from any goroutine) is a no-op. Library users never need it: every
-// accessor falls back to on-the-fly description.
-func (m *Mapping) Materialize(workers int) {
-	m.matOnce.Do(func() {
-		m.ixnOnce.Do(func() { m.buildInterconnectionIndex(workers) })
-		order := interfaceOrder(m.res.Interfaces)
-		mat := &materialized{
-			order: order,
-			index: make(map[netaddr.IP]int, len(order)),
-			infos: make([]InterfaceInfo, len(order)),
-			blobs: make([][]byte, len(order)),
+// newMapping builds the serving tables for res. With a predecessor —
+// the snapshot of the same System that res re-converged from, so
+// Explain is on for both or for neither — every table whose inputs did
+// not change is carried over instead of rebuilt:
+//
+//   - an interface whose InterfaceResult (and, under Explain, its
+//     provenance notes) equals the predecessor's keeps its described
+//     record and JSON blob;
+//   - the listing order and address index carry over when the
+//     interface set and every Resolved flag are unchanged;
+//   - the AS-pair index carries over when every link's near AS and
+//     far-end AS match, position by position.
+//
+// Reuse rests on describe reading nothing else that can change between
+// epochs: the registry fields it consults — AS names, facility names
+// and metro clusters — are mutated by no delta kind. The router census
+// is recomputed every time. A nil prev renders everything.
+func newMapping(sys *System, res *cfs.Result, prev *Mapping) *Mapping {
+	m := &Mapping{sys: sys, res: res}
+	workers := foldWorkers(sys.cfg.Workers)
+	m.buildListing(prev)
+	m.buildRecords(prev, workers)
+	m.buildInterconnectionIndex(prev, workers)
+	m.summary = m.computeSummary()
+	return m
+}
+
+// buildListing sets order and index, sharing the predecessor's when
+// their sort keys — the interface set and the Resolved flags — are
+// unchanged.
+func (m *Mapping) buildListing(prev *Mapping) {
+	if prev != nil && prev.sameListing(m.res.Interfaces) {
+		m.order, m.index = prev.order, prev.index
+		return
+	}
+	m.order = interfaceOrder(m.res.Interfaces)
+	m.index = make(map[netaddr.IP]int, len(m.order))
+	for i, ip := range m.order {
+		m.index[ip] = i
+	}
+}
+
+func (m *Mapping) sameListing(interfaces map[netaddr.IP]*cfs.InterfaceResult) bool {
+	if len(m.order) != len(interfaces) {
+		return false
+	}
+	for i, ip := range m.order {
+		ir := interfaces[ip]
+		if ir == nil || ir.Resolved != m.infos[i].Resolved {
+			return false
 		}
-		parallelFold(len(order), foldWorkers(workers), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				mat.infos[i] = m.describe(m.res.Interfaces[order[i]])
-				mat.blobs[i], _ = json.Marshal(&mat.infos[i])
+	}
+	return true
+}
+
+// buildRecords fills infos and blobs: records whose inputs equal the
+// predecessor's are shared with it, the rest are described and
+// marshaled in a parallel fold over `workers` goroutines.
+func (m *Mapping) buildRecords(prev *Mapping, workers int) {
+	m.infos = make([]InterfaceInfo, len(m.order))
+	m.blobs = make([][]byte, len(m.order))
+	var render []int
+	for i, ip := range m.order {
+		if prev != nil {
+			if j, ok := prev.index[ip]; ok && m.sameRecord(prev, ip) {
+				m.infos[i], m.blobs[i] = prev.infos[j], prev.blobs[j]
+				continue
 			}
-		})
-		for i, ip := range order {
-			mat.index[ip] = i
 		}
-		mat.summary = m.computeSummary()
-		m.mat.Store(mat)
+		render = append(render, i)
+	}
+	parallelFold(len(render), workers, func(_, lo, hi int) {
+		for _, i := range render[lo:hi] {
+			m.infos[i] = m.describe(m.res.Interfaces[m.order[i]])
+			m.blobs[i], _ = json.Marshal(&m.infos[i])
+		}
 	})
 }
 
-// materialize is Materialize with the system's configured worker
-// count, used by the lazy paths.
-func (m *Mapping) materialize() *materialized {
-	if mat := m.mat.Load(); mat != nil {
-		return mat
+// sameRecord reports whether ip describes identically in m and prev:
+// every InterfaceResult field is equal and, under Explain, so are its
+// provenance notes.
+func (m *Mapping) sameRecord(prev *Mapping, ip netaddr.IP) bool {
+	a, b := prev.res.Interfaces[ip], m.res.Interfaces[ip]
+	if a == nil || b == nil || !sameInference(a, b) {
+		return false
 	}
-	m.Materialize(m.sys.cfg.Workers)
-	return m.mat.Load()
+	return m.res.Provenance == nil || slices.Equal(prev.res.Provenance[ip], m.res.Provenance[ip])
 }
 
+// sameInference compares every field of two inferences.
+// TestSameInferenceCoversEveryField fails when a field is added to
+// cfs.InterfaceResult without being compared here.
+func sameInference(a, b *cfs.InterfaceResult) bool {
+	return a.IP == b.IP && a.Owner == b.Owner &&
+		slices.Equal(a.Candidates, b.Candidates) &&
+		a.Facility == b.Facility && a.Resolved == b.Resolved &&
+		a.CityCluster == b.CityCluster && a.CityConstrain == b.CityConstrain &&
+		a.ViaProximity == b.ViaProximity && a.ViaFarEnd == b.ViaFarEnd &&
+		a.RemoteMember == b.RemoteMember
+}
+
+// Materialize does nothing; it is kept so existing callers still
+// compile. Every snapshot carries complete serving tables from the
+// moment MapInterconnections, Apply or MergeMappings returns it.
+func (m *Mapping) Materialize(workers int) {}
+
 // InterfaceJSON returns the pre-rendered JSON record (the InterfaceInfo
-// shape) for one interface address, materializing the snapshot's tables
-// on first use. The returned bytes are shared and immutable.
+// shape) for one interface address. The returned bytes are shared and
+// immutable.
 //
 //cfslint:hotpath
 func (m *Mapping) InterfaceJSON(ip string) ([]byte, bool) {
@@ -422,12 +459,11 @@ func (m *Mapping) InterfaceJSON(ip string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	mat := m.materialize()
-	i, ok := mat.index[addr]
+	i, ok := m.index[addr]
 	if !ok {
 		return nil, false
 	}
-	return mat.blobs[i], true
+	return m.blobs[i], true
 }
 
 // EachInterfaceJSON calls yield with every interface's pre-rendered
@@ -437,7 +473,7 @@ func (m *Mapping) InterfaceJSON(ip string) ([]byte, bool) {
 //
 //cfslint:hotpath
 func (m *Mapping) EachInterfaceJSON(yield func(rec []byte) bool) {
-	for _, b := range m.materialize().blobs {
+	for _, b := range m.blobs {
 		if !yield(b) {
 			return
 		}
@@ -510,7 +546,7 @@ type Interconnection struct {
 // and where are they established" — served from the epoch's immutable
 // snapshot.
 func (m *Mapping) Interconnections(a, b int) []Interconnection {
-	idx := m.interconnectionIndex()[pairKey(world.ASN(a), world.ASN(b))]
+	idx := m.ixn[pairKey(world.ASN(a), world.ASN(b))]
 	out := make([]Interconnection, 0, len(idx))
 	for _, i := range idx {
 		out = append(out, m.describeLink(m.res.Links[i]))
@@ -521,27 +557,32 @@ func (m *Mapping) Interconnections(a, b int) []Interconnection {
 // ASPairs returns the number of distinct AS pairs with at least one
 // classified interconnection in this snapshot.
 func (m *Mapping) ASPairs() int {
-	return len(m.interconnectionIndex())
+	return len(m.ixn)
 }
 
-// interconnectionIndex returns the per-AS-pair link index, building it
-// on first use with the system's configured worker count. Materialize
-// forces the build at swap time so daemon queries never pay it.
-func (m *Mapping) interconnectionIndex() map[asPair][]int {
-	m.ixnOnce.Do(func() { m.buildInterconnectionIndex(m.sys.cfg.Workers) })
-	return m.ixnIdx
-}
-
-// buildInterconnectionIndex folds res.Links into the per-AS-pair index
-// with a parallel fold: contiguous link ranges build per-shard partial
-// indexes, merged in shard order so every pair's link list stays in
-// ascending global link order regardless of worker count. The far-end
-// AS of a public link is the owner of the replying IXP port, resolved
-// through the snapshot's own interface inferences (the same rule the
-// resilience analyzer applies).
-func (m *Mapping) buildInterconnectionIndex(workers int) {
+// buildInterconnectionIndex folds res.Links into the per-AS-pair
+// index, or shares the predecessor's when every link's key is
+// unchanged. The far-end AS of a public link is the owner of the
+// replying IXP port, resolved through the snapshot's own interface
+// inferences (the same rule the resilience analyzer applies). A
+// rebuild is a parallel fold: contiguous link ranges build per-shard
+// partial indexes, merged in shard order so every pair's link list
+// stays in ascending global link order regardless of worker count.
+func (m *Mapping) buildInterconnectionIndex(prev *Mapping, workers int) {
 	links := m.res.Links
-	w := foldWorkers(workers)
+	m.far = make([]world.ASN, len(links))
+	same := prev != nil && len(prev.far) == len(links)
+	for i, l := range links {
+		m.far[i] = m.farASOf(l)
+		if same && (m.far[i] != prev.far[i] || l.NearAS != prev.res.Links[i].NearAS) {
+			same = false
+		}
+	}
+	if same {
+		m.ixn = prev.ixn
+		return
+	}
+	w := workers
 	if w > len(links) {
 		w = len(links)
 	}
@@ -552,12 +593,11 @@ func (m *Mapping) buildInterconnectionIndex(workers int) {
 	parallelFold(len(links), w, func(shard, lo, hi int) {
 		part := make(map[asPair][]int)
 		for i := lo; i < hi; i++ {
-			l := links[i]
-			far := m.farASOf(l)
-			if l.NearAS == 0 || far == 0 || far == l.NearAS {
+			near, far := links[i].NearAS, m.far[i]
+			if near == 0 || far == 0 || far == near {
 				continue
 			}
-			key := pairKey(l.NearAS, far)
+			key := pairKey(near, far)
 			part[key] = append(part[key], i)
 		}
 		parts[shard] = part
@@ -568,7 +608,7 @@ func (m *Mapping) buildInterconnectionIndex(workers int) {
 			idx[key] = append(idx[key], is...)
 		}
 	}
-	m.ixnIdx = idx
+	m.ixn = idx
 }
 
 func (m *Mapping) farASOf(l *cfs.Adjacency) world.ASN {
@@ -668,7 +708,7 @@ func MergeMappings(mappings ...*Mapping) *Mapping {
 	for _, m := range mappings {
 		results = append(results, m.res)
 	}
-	return &Mapping{sys: mappings[0].sys, res: cfs.Merge(results...)}
+	return newMapping(mappings[0].sys, cfs.Merge(results...), nil)
 }
 
 // SnapshotSummary is the JSON-shaped digest of one snapshot: the epoch
@@ -690,15 +730,8 @@ type SnapshotSummary struct {
 	ProximityPlacements int     `json:"proximity_placements"`
 }
 
-// Summarize condenses the snapshot into its JSON-shaped digest. A
-// materialized snapshot answers from its pre-computed digest; otherwise
-// the census runs on the fly.
-func (m *Mapping) Summarize() SnapshotSummary {
-	if mat := m.mat.Load(); mat != nil {
-		return mat.summary
-	}
-	return m.computeSummary()
-}
+// Summarize condenses the snapshot into its JSON-shaped digest.
+func (m *Mapping) Summarize() SnapshotSummary { return m.summary }
 
 func (m *Mapping) computeSummary() SnapshotSummary {
 	census := m.res.Census()

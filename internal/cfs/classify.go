@@ -20,79 +20,76 @@ type RouterCensus struct {
 // sets. Interfaces without alias information count as single-interface
 // routers.
 func (r *Result) Census() RouterCensus {
-	// Group interfaces into routers via the recorded alias set IDs.
-	router := make(map[netaddr.IP]int, len(r.Interfaces))
-	next := 0
-	if r.aliasSetOf != nil {
-		groups := make(map[int]int)
-		for ip := range r.Interfaces {
-			if id := r.aliasSetOf(ip); id >= 0 {
-				g, ok := groups[id]
-				if !ok {
-					g = next
-					next++
-					groups[id] = g
-				}
-				router[ip] = g
-			}
-		}
-	}
+	// Number the routers densely: one per alias set, one per interface
+	// outside every set. group[id] is alias set id's router number + 1
+	// (0: not numbered yet).
+	router := make(map[netaddr.IP]int32, len(r.Interfaces))
+	var group []int32
+	next := int32(0)
+	//cfslint:ordered router numbers are arbitrary labels: only the count and the per-router role flags below reach the census, never the numbering order
 	for ip := range r.Interfaces {
-		if _, ok := router[ip]; !ok {
+		id := -1
+		if r.aliasSetOf != nil {
+			id = r.aliasSetOf(ip)
+		}
+		if id < 0 {
 			router[ip] = next
 			next++
+			continue
 		}
+		for len(group) <= id {
+			group = append(group, 0)
+		}
+		if group[id] == 0 {
+			next++
+			group[id] = next
+		}
+		router[ip] = group[id] - 1
 	}
 
+	// A router's IXP count only matters up to two, so each keeps the
+	// first IXP it was seen on and a flag for any other.
 	type role struct {
-		public  bool
-		private bool
-		ixps    map[world.IXPID]bool
+		public, private, multiIXP bool
+		ixp                       world.IXPID
 	}
-	roles := make(map[int]*role)
-	get := func(ip netaddr.IP) *role {
+	roles := make([]role, next)
+	public := func(ip netaddr.IP, ix world.IXPID) {
 		g, ok := router[ip]
 		if !ok {
-			return nil
+			return
 		}
-		rl := roles[g]
-		if rl == nil {
-			rl = &role{ixps: make(map[world.IXPID]bool)}
-			roles[g] = rl
+		rl := &roles[g]
+		if !rl.public {
+			rl.public, rl.ixp = true, ix
+		} else if rl.ixp != ix {
+			rl.multiIXP = true
 		}
-		return rl
+	}
+	private := func(ip netaddr.IP) {
+		if g, ok := router[ip]; ok {
+			roles[g].private = true
+		}
 	}
 	for _, a := range r.Links {
 		if a.Public {
-			if rl := get(a.Near); rl != nil {
-				rl.public = true
-				rl.ixps[a.IXP] = true
-			}
-			if rl := get(a.FarPort); rl != nil {
-				rl.public = true
-				rl.ixps[a.IXP] = true
-			}
+			public(a.Near, a.IXP)
+			public(a.FarPort, a.IXP)
 			continue
 		}
-		if rl := get(a.Near); rl != nil {
-			rl.private = true
-		}
-		if rl := get(a.Far); rl != nil {
-			rl.private = true
-		}
+		private(a.Near)
+		private(a.Far)
 	}
-	var c RouterCensus
-	c.Routers = next
-	//cfslint:ordered integer tallies only: every branch is a commutative += on the census, so iteration order cannot reach the result
+	c := RouterCensus{Routers: int(next)}
 	for _, rl := range roles {
 		if rl.public {
 			c.PublicRouters++
-			if len(rl.ixps) >= 2 {
+			if rl.multiIXP {
 				c.MultiIXP++
 			}
-		}
-		if rl.public && rl.private {
-			c.MultiRole++
+			if rl.private {
+				c.MultiRole++
+			}
 		}
 	}
 	return c

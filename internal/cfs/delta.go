@@ -115,7 +115,10 @@ func (p *Pipeline) Corpus() Observations {
 // database handed to New is modified in place (the remote-peering
 // detector shares the pointer and follows automatically). Requires a
 // completed Run and an incremental engine; the rescan engine keeps no
-// dependency index to repair and is rejected.
+// dependency index to repair and is rejected. A batch with an unknown
+// kind, or a facility-list delta naming a facility outside the
+// registry (delta.ErrUnknownFacility), is rejected before anything is
+// mutated: the epoch and the retained state stay as they were.
 func (p *Pipeline) ApplyDelta(log []delta.Delta) (*Result, error) {
 	if p.st == nil {
 		return nil, errors.New("cfs: ApplyDelta before Run — no converged state to repair")
@@ -123,20 +126,17 @@ func (p *Pipeline) ApplyDelta(log []delta.Delta) (*Result, error) {
 	if p.st.wl == nil {
 		return nil, fmt.Errorf("cfs: engine %q keeps no dependency index; deltas need the worklist or sharded engine", p.cfg.Engine)
 	}
-	reingest := false
-	for _, d := range log {
+	for i, d := range log {
 		if !d.Kind.Valid() {
 			return nil, fmt.Errorf("cfs: unknown delta kind %q", d.Kind)
 		}
-		switch d.Kind {
-		case delta.ASFacilityAdd, delta.ASFacilityRemove,
-			delta.IXPFacilityAdd, delta.IXPFacilityRemove:
-		default:
-			// Membership, session and cross-connect deltas change which
-			// adjacencies exist; the whole batch re-ingests.
-			reingest = true
+		if d.Kind.WorldExpressible() && !p.fs.fx.has(d.Facility) {
+			return nil, fmt.Errorf("cfs: record %d (%v): %w", i, d, delta.ErrUnknownFacility)
 		}
 	}
+	// Membership, session and cross-connect deltas change which
+	// adjacencies exist; such a batch re-ingests as a whole.
+	reingest := !delta.Surgical(log)
 
 	delta.ApplyToDatabase(p.db, log)
 	p.reintern(log)

@@ -1,8 +1,11 @@
 package cfs
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"facilitymap/internal/alias"
@@ -369,5 +372,135 @@ func TestApplyDeltaRejections(t *testing.T) {
 	_ = rp.RunObservations(copyObs(env.corpus))
 	if _, err := rp.ApplyDelta(nil); err == nil {
 		t.Fatal("rescan engine accepted deltas despite having no dependency index")
+	}
+}
+
+// TestDeltaRejectsUnknownFacility plants a facility-list delta naming a
+// facility outside the registry in the middle of an otherwise valid
+// batch. The whole batch must be rejected with delta.ErrUnknownFacility
+// before anything is applied: the registry digest and the epoch counter
+// stay where they were, and the next valid batch still lands on a fresh
+// run's fixed point.
+func TestDeltaRejectsUnknownFacility(t *testing.T) {
+	env := buildDeltaEnv(t, world.Small(), 23)
+	cfg := DefaultConfig()
+	cfg.MaxIterations = 10
+	cfg.UseTargeted = false
+	cfg.TraceProvenance = true
+	cfg.AliasRounds = []int{1}
+
+	p := mustNew(t, cfg, env.db, env.ipasn, env.svc, env.det, env.prober)
+	res0 := p.RunObservations(copyObs(env.corpus))
+	db2 := env.db.Clone()
+	before := registryDigest(env.db)
+
+	valid, _ := churnSplit(t, env.w, 40, 5)
+	unknown := world.FacilityID(len(env.w.Facilities) + 1000)
+	for _, bad := range []delta.Delta{
+		{Kind: delta.ASFacilityAdd, AS: res0.Links[0].NearAS, Facility: unknown},
+		{Kind: delta.IXPFacilityRemove, IXP: env.w.IXPs[0].ID, Facility: -1},
+	} {
+		half := len(valid) / 2
+		planted := append(append(append([]delta.Delta(nil), valid[:half]...), bad), valid[half:]...)
+		if _, err := p.ApplyDelta(planted); !errors.Is(err, delta.ErrUnknownFacility) {
+			t.Fatalf("planted %v: got error %v, want ErrUnknownFacility", bad, err)
+		}
+		if registryDigest(env.db) != before {
+			t.Fatalf("rejected batch with %v mutated the registry", bad)
+		}
+	}
+
+	res1, err := p.ApplyDelta(valid)
+	if err != nil {
+		t.Fatalf("valid batch after rejections: %v", err)
+	}
+	if res1.Epoch != 1 {
+		t.Fatalf("valid batch published epoch %d, want 1: a rejected batch consumed an epoch", res1.Epoch)
+	}
+	delta.ApplyToDatabase(db2, valid)
+	requireSameFixedPoint(t, "after-rejection", res1, freshOn(t, env, db2, cfg, copyObs(env.corpus)))
+}
+
+// registryDigest renders every AS and IXP facility list — the registry
+// state facility-list deltas mutate.
+func registryDigest(db *registry.Database) string {
+	var b strings.Builder
+	for _, asn := range db.AllASNs() {
+		fmt.Fprintf(&b, "as%d:%v\n", asn, db.FacilitiesOfAS(asn))
+	}
+	ixps := make([]world.IXPID, 0, len(db.IXPs))
+	for ix := range db.IXPs {
+		ixps = append(ixps, ix)
+	}
+	sort.Slice(ixps, func(i, j int) bool { return ixps[i] < ixps[j] })
+	for _, ix := range ixps {
+		fmt.Fprintf(&b, "ixp%d:%v\n", ix, db.FacilitiesOfIXP(ix))
+	}
+	return b.String()
+}
+
+// TestDeltaCensusMatchesReference pins the dense router census to the
+// map-based reference (referenceCensus) on every epoch of a churn
+// stream that mixes surgical, re-ingestion and empty heartbeat batches,
+// with and without alias resolution.
+func TestDeltaCensusMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		wcfg  world.Config
+		seed  int64
+		alias bool
+		n     int
+	}{
+		{"small", world.Small(), 23, true, 24},
+		{"small/noalias", world.Small(), 101, false, 12},
+		{"medium", world.Medium(), 42, true, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "medium" && testing.Short() {
+				t.Skip("medium-world census stream is slow")
+			}
+			env := buildDeltaEnv(t, tc.wcfg, tc.seed)
+			cfg := DefaultConfig()
+			cfg.MaxIterations = 10
+			cfg.UseTargeted = false
+			cfg.UseAliasResolution = tc.alias
+			p := mustNew(t, cfg, env.db, env.ipasn, env.svc, env.det, env.prober)
+			res := p.RunObservations(copyObs(env.corpus))
+			check := func(res *Result) {
+				t.Helper()
+				if got, want := res.Census(), referenceCensus(res); got != want {
+					t.Fatalf("epoch %d: census %+v, reference %+v", res.Epoch, got, want)
+				}
+			}
+			check(res)
+			if res.Census().PublicRouters == 0 {
+				t.Fatal("census saw no public routers")
+			}
+
+			log, _ := delta.Churn(env.w, tc.n, tc.seed)
+			kinds := map[string]int{}
+			for i, d := range log {
+				batch := []delta.Delta{d}
+				if i%4 == 3 {
+					batch = nil
+				}
+				switch {
+				case len(batch) == 0:
+					kinds["heartbeat"]++
+				case delta.Surgical(batch):
+					kinds["surgical"]++
+				default:
+					kinds["reingest"]++
+				}
+				r, err := p.ApplyDelta(batch)
+				if err != nil {
+					t.Fatalf("batch %d: %v", i, err)
+				}
+				check(r)
+			}
+			if len(kinds) != 3 {
+				t.Fatalf("stream lacks a batch class: %v", kinds)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package cfs
 
 import (
+	"fmt"
 	"math/bits"
 
 	"facilitymap/internal/registry"
@@ -43,17 +44,27 @@ func newFacIndex(universe []world.FacilityID) *facIndex {
 	return x
 }
 
+// has reports whether id is in the universe.
+func (x *facIndex) has(id world.FacilityID) bool {
+	_, ok := x.slots[id]
+	return ok
+}
+
 // setOf builds a facset from a facility list. IDs outside the universe
-// are impossible by construction (the universe is the union of every
-// association in the registry); they would panic loudly rather than be
-// dropped silently.
+// are impossible by construction: the universe is the union of every
+// association in the registry, and ApplyDelta rejects deltas naming
+// anything else. One reaching here is a bug, so it panics rather than
+// land in some other facility's slot.
 func (x *facIndex) setOf(ids []world.FacilityID) facset {
 	if len(ids) == 0 {
 		return nil
 	}
 	s := make(facset, x.words)
 	for _, id := range ids {
-		slot := x.slots[id]
+		slot, ok := x.slots[id]
+		if !ok {
+			panic(fmt.Sprintf("cfs: facility %d outside the pipeline's facility universe", id))
+		}
 		s[slot>>6] |= 1 << (slot & 63)
 	}
 	return s

@@ -25,6 +25,7 @@
 package delta
 
 import (
+	"errors"
 	"fmt"
 
 	"facilitymap/internal/netaddr"
@@ -79,6 +80,25 @@ func (k Kind) WorldExpressible() bool {
 	}
 	return false
 }
+
+// Surgical reports whether log holds only facility-list deltas — the
+// batches cfs.Pipeline.ApplyDelta repairs in place. One membership,
+// session or cross-connect delta makes the whole batch re-ingest the
+// observation corpus instead. An empty batch (a heartbeat) is
+// surgical.
+func Surgical(log []Delta) bool {
+	for _, d := range log {
+		if !d.Kind.WorldExpressible() {
+			return false
+		}
+	}
+	return true
+}
+
+// ErrUnknownFacility marks a facility-list delta whose facility is not
+// in the registry the pipeline was built over. Such a batch is
+// rejected whole, before any of it is applied.
+var ErrUnknownFacility = errors.New("delta: facility not in the registry")
 
 // Delta is one typed change. Only the fields the Kind implies are
 // meaningful; the rest stay zero:

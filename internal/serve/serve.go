@@ -13,11 +13,11 @@
 // epochCache).
 //
 // The hot path is engineered down to a hash lookup plus a buffer
-// write: the writer loop materializes each snapshot's tables (described
-// records, pre-rendered JSON, the AS-pair index) at swap time, so a
-// cold query is table reads and byte appends — never a snapshot-wide
-// build — and a hot query touches one cache shard under a striped
-// RWMutex. Concurrent cold misses for one key dedup through a
+// write: every snapshot System.Apply publishes already carries its
+// serving tables (described records, pre-rendered JSON, the AS-pair
+// index), so a cold query is table reads and byte appends — never a
+// snapshot-wide build — and a hot query touches one cache shard under
+// a striped RWMutex. Concurrent cold misses for one key dedup through a
 // singleflight table and render once. Batched (POST /v1/interfaces:batch)
 // and streaming (GET /v1/interfaces/stream) shapes amortize per-request
 // overhead for bulk consumers.
@@ -31,6 +31,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -78,12 +79,9 @@ type Options struct {
 	// disables caching entirely — every query renders from the
 	// snapshot, the cold-path cfsbench -serve measures).
 	CacheEntries int
-	// MaterializeWorkers is the parallel-fold width used when the
-	// writer loop materializes a freshly published snapshot's tables
-	// (0 = one worker per CPU).
-	MaterializeWorkers int
 	// Obs receives request counts, latency histograms, cache hit/miss
-	// counters and the published epoch gauge. Nil disables.
+	// counters, the writer's apply-time histograms and queue depth, and
+	// the published epoch gauge. Nil disables.
 	Obs *obs.Obs
 	// Now is the injected clock for latency measurement; nil means
 	// wall time. Tests inject a fake so latency math is deterministic.
@@ -136,6 +134,12 @@ type Server struct {
 	applyErrs   *obs.Counter
 	followBad   *obs.Counter
 	epochGauge  *obs.Gauge
+
+	// Writer-side metrics: System.Apply wall time per batch class (see
+	// delta.Surgical) and the batches waiting for the writer.
+	applySurgical *obs.Histogram
+	applyReingest *obs.Histogram
+	queueDepth    *obs.Gauge
 }
 
 type epochHdrEntry struct {
@@ -197,6 +201,9 @@ func New(sys *facilitymap.System, opt Options) *Server {
 	s.applyErrs = o.Counter("serve.deltas.errors")
 	s.followBad = o.Counter("serve.follow.bad_lines")
 	s.epochGauge = o.Gauge("serve.epoch")
+	s.applySurgical = o.Histogram("serve.apply.duration.surgical")
+	s.applyReingest = o.Histogram("serve.apply.duration.reingest")
+	s.queueDepth = o.Gauge("serve.writer.queue_depth")
 
 	s.hInterface = s.route("interface", s.handleInterface)
 	s.hIxn = s.route("interconnections", s.handleInterconnections)
@@ -683,9 +690,12 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	m, err := s.enqueue(r.Context(), log)
 	if err != nil {
 		ro.errors.Inc()
-		status := http.StatusServiceUnavailable
-		if r.Context().Err() == nil {
-			status = http.StatusUnprocessableEntity
+		status := http.StatusUnprocessableEntity
+		switch {
+		case r.Context().Err() != nil:
+			status = http.StatusServiceUnavailable
+		case errors.Is(err, delta.ErrUnknownFacility):
+			status = http.StatusBadRequest
 		}
 		writeError(w, status, err.Error())
 		return
@@ -710,11 +720,16 @@ type applyResult struct {
 // the request context does.
 func (s *Server) enqueue(ctx context.Context, log []delta.Delta) (*facilitymap.Mapping, error) {
 	req := applyReq{log: log, resp: make(chan applyResult, 1)}
+	// The depth counts a batch from here until the writer takes it, so
+	// a sender blocked on a full queue counts as waiting too.
+	s.queueDepth.Add(1)
 	select {
 	case s.applyCh <- req:
 	case <-s.done:
+		s.queueDepth.Add(-1)
 		return nil, fmt.Errorf("serve: writer loop stopped")
 	case <-ctx.Done():
+		s.queueDepth.Add(-1)
 		return nil, ctx.Err()
 	}
 	select {
@@ -726,16 +741,11 @@ func (s *Server) enqueue(ctx context.Context, log []delta.Delta) (*facilitymap.M
 }
 
 // Run is the single writer loop: every System.Apply in the daemon goes
-// through here, one batch at a time. On entry it materializes the boot
-// snapshot (if one is already published) so the very first query is a
-// table read. It blocks until ctx is canceled, then drains batches
-// already queued (graceful SIGTERM semantics — an accepted POST is
-// never dropped) and closes Done.
+// through here, one batch at a time. It blocks until ctx is canceled,
+// then drains batches already queued (graceful SIGTERM semantics — an
+// accepted POST is never dropped) and closes Done.
 func (s *Server) Run(ctx context.Context) {
 	defer close(s.done)
-	if m := s.sys.Current(); m != nil {
-		m.Materialize(s.opt.MaterializeWorkers)
-	}
 	for {
 		select {
 		case req := <-s.applyCh:
@@ -754,14 +764,18 @@ func (s *Server) Run(ctx context.Context) {
 }
 
 func (s *Server) apply(req applyReq) {
+	s.queueDepth.Add(-1)
+	start := s.now()
 	m, err := s.sys.Apply(req.log)
+	took := s.now().Sub(start)
 	if err != nil {
 		s.applyErrs.Inc()
 	} else {
-		// Swap-time materialization: build the new snapshot's tables on
-		// the writer — a parallel fold over the interface set — before
-		// acknowledging the batch, so no query ever pays the build.
-		m.Materialize(s.opt.MaterializeWorkers)
+		if delta.Surgical(req.log) {
+			s.applySurgical.Observe(took)
+		} else {
+			s.applyReingest.Observe(took)
+		}
 		s.applied.Add(int64(len(req.log)))
 		s.epochGauge.Set(int64(m.Epoch()))
 		if s.cache != nil {

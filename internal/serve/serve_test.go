@@ -19,6 +19,7 @@ import (
 	"facilitymap"
 	"facilitymap/internal/delta"
 	"facilitymap/internal/obs"
+	"facilitymap/internal/world"
 )
 
 func smallSystem(t *testing.T) *facilitymap.System {
@@ -895,17 +896,19 @@ func TestFollowTail(t *testing.T) {
 	appendFile(t, path, buf.Bytes())
 	waitEpoch(1)
 
-	// A record split across two writes must not be torn: write half a
-	// line plus garbage-free prefix, then the rest.
+	// A record split across two writes must not be torn: the first
+	// write ends halfway through the first record, so nothing can apply
+	// until the rest lands.
 	buf.Reset()
 	if err := delta.EncodeJSONL(&buf, churn[20:]); err != nil {
 		t.Fatal(err)
 	}
 	line := buf.Bytes()
-	appendFile(t, path, line[:len(line)/2])
+	cut := bytes.IndexByte(line, '\n') / 2
+	appendFile(t, path, line[:cut])
 	time.Sleep(20 * time.Millisecond) // a few polls with the partial line pending
 	before := sys.Current().Epoch()
-	appendFile(t, path, line[len(line)/2:])
+	appendFile(t, path, line[cut:])
 	waitEpoch(before + 1)
 
 	// Malformed lines are counted and skipped, valid ones still apply.
@@ -1000,5 +1003,132 @@ func appendFile(t *testing.T, path string, b []byte) {
 	defer f.Close()
 	if _, err := f.Write(b); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeltasRejectUnknownFacility: a batch naming a facility outside
+// the registry is a client error. It answers 400, consumes no epoch,
+// and the snapshot readers see keeps its X-CFS-Epoch.
+func TestDeltasRejectUnknownFacility(t *testing.T) {
+	sys := smallSystem(t)
+	m0 := sys.MapInterconnections()
+	s := startServer(t, sys, Options{})
+	h := s.Handler()
+
+	log := mixedChurn(t, sys, 10, 3)
+	log = append(log, delta.Delta{
+		Kind: delta.ASFacilityAdd, AS: m0.Result().Links[0].NearAS,
+		Facility: world.FacilityID(len(sys.Env.W.Facilities) + 1000),
+	})
+	rec := postDeltas(t, h, log)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("POST with an unknown facility: status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if cur := sys.Current(); cur != m0 {
+		t.Fatalf("rejected batch published epoch %d", cur.Epoch())
+	}
+	if got := get(h, "/v1/snapshot").Header().Get("X-CFS-Epoch"); got != "0" {
+		t.Fatalf("X-CFS-Epoch %q after a rejected batch, want 0", got)
+	}
+	if got := s.applyErrs.Value(); got != 1 {
+		t.Fatalf("serve.deltas.errors = %d, want 1", got)
+	}
+
+	// The same batch without the planted record applies as epoch 1.
+	rec = postDeltas(t, h, log[:len(log)-1])
+	if rec.Code != http.StatusOK {
+		t.Fatalf("valid POST status %d: %s", rec.Code, rec.Body)
+	}
+	if dr := decode[deltasResponse](t, rec); dr.Epoch != 1 {
+		t.Fatalf("valid batch published epoch %d, want 1", dr.Epoch)
+	}
+}
+
+// TestWriterMetrics checks the writer-side metrics. The queue-depth
+// gauge counts batches accepted but not yet taken by the writer. With
+// an injected clock that advances one step per reading, and batches
+// posted one at a time so nothing else reads the clock during an
+// Apply, every Apply takes exactly one step and lands in the histogram
+// of its batch class.
+func TestWriterMetrics(t *testing.T) {
+	sys := smallSystem(t)
+	sys.MapInterconnections()
+
+	const step = 3 * time.Millisecond
+	var mu sync.Mutex
+	clock := time.Unix(0, 0)
+	o := obs.New(0)
+	s := New(sys, Options{Obs: o, Now: func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		clock = clock.Add(step)
+		return clock
+	}})
+	h := s.Handler()
+
+	var surgical []delta.Delta
+	mixed := mixedChurn(t, sys, 30, 11)
+	for _, d := range mixed {
+		if d.Kind.WorldExpressible() {
+			surgical = append(surgical, d)
+		}
+	}
+	if len(surgical) == 0 || delta.Surgical(mixed) {
+		t.Fatal("churn lacks a surgical or a re-ingesting batch")
+	}
+	batches := [][]delta.Delta{surgical, nil, mixed} // heartbeats are surgical
+
+	// Three batches wait while the writer is not running yet.
+	depth := o.Gauge("serve.writer.queue_depth")
+	codes := make(chan int, len(batches))
+	for _, log := range batches {
+		log := log
+		go func() { codes <- postDeltas(t, h, log).Code }()
+		for want := depth.Value() + 1; depth.Value() != want; {
+			runtime.Gosched()
+		}
+	}
+	if got := depth.Value(); got != 3 {
+		t.Fatalf("queue depth %d with three batches waiting, want 3", got)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go s.Run(ctx)
+	defer func() {
+		cancel()
+		<-s.Done()
+	}()
+	for range batches {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("queued POST status %d", code)
+		}
+	}
+	if got := depth.Value(); got != 0 {
+		t.Fatalf("queue depth %d after the writer drained, want 0", got)
+	}
+
+	surg, rein := o.Histogram("serve.apply.duration.surgical"), o.Histogram("serve.apply.duration.reingest")
+	s0, r0 := surg.Stats(), rein.Stats()
+	if s0.Count != 2 || r0.Count != 1 {
+		t.Fatalf("queued batches observed %d surgical, %d reingest; want 2, 1", s0.Count, r0.Count)
+	}
+	for _, log := range batches {
+		if rec := postDeltas(t, h, log); rec.Code != http.StatusOK {
+			t.Fatalf("POST status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	if s1 := surg.Stats(); s1.Count-s0.Count != 2 || s1.Sum-s0.Sum != 2*step {
+		t.Errorf("surgical applies: %d more observations summing %v, want 2 summing %v",
+			s1.Count-s0.Count, s1.Sum-s0.Sum, 2*step)
+	}
+	if r1 := rein.Stats(); r1.Count-r0.Count != 1 || r1.Sum-r0.Sum != step {
+		t.Errorf("reingest applies: %d more observations summing %v, want 1 summing %v",
+			r1.Count-r0.Count, r1.Sum-r0.Sum, step)
+	}
+
+	body := get(h, "/metrics").Body.Bytes()
+	for _, name := range []string{"serve.apply.duration.surgical", "serve.apply.duration.reingest", "serve.writer.queue_depth"} {
+		if !bytes.Contains(body, []byte(`"`+name+`"`)) {
+			t.Errorf("/metrics lacks %s", name)
+		}
 	}
 }
