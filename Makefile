@@ -37,7 +37,7 @@ test:
 race:
 	go test -race ./internal/cfs/... ./internal/trace/... ./internal/serve/...
 
-# Engine benchmark harness: times both CFS cores (observability off and
+# Engine benchmark harness: times the CFS core (observability off and
 # on) and writes machine-readable BENCH_cfs.json — ns/op, probes
 # issued, proposals recomputed, peak RSS. Pass -incremental K in
 # BENCH_FLAGS to also time K single-delta ApplyDelta epochs against a
@@ -50,11 +50,10 @@ bench:
 	go run ./cmd/cfsbench -profile $(BENCH_PROFILE) -runs $(BENCH_RUNS) $(BENCH_FLAGS) -out BENCH_cfs.json
 
 # Internet-scale benchmark: the Large world under a budgeted iteration
-# count, unsharded worklist vs the metro-sharded scheduler. Minutes of
-# wall clock; the nightly CI job runs it and tracks shard_speedup_x.
-BENCH_SHARDS ?= 8
+# count, three timed runs per mode. Minutes of wall clock per run and
+# about 2 GiB peak RSS; the nightly CI job runs it.
 bench-large:
-	go run ./cmd/cfsbench -profile large -shards $(BENCH_SHARDS) -runs 1 -out BENCH_cfs_large.json
+	go run ./cmd/cfsbench -profile large -runs 3 -out BENCH_cfs_large.json
 
 # The figure/table reproduction benchmarks (go test -bench).
 bench-figures:
@@ -79,5 +78,7 @@ fuzz:
 	go test -fuzz FuzzParsePrefix -fuzztime 30s ./internal/netaddr/
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/trace/
 	go test -fuzz FuzzDecodeBatch -fuzztime 30s ./internal/delta/
+	go test -fuzz FuzzBatchBody -fuzztime 20s ./internal/serve/
+	go test -fuzz FuzzDispatch -fuzztime 20s ./internal/serve/
 
 check: vet lint build test race

@@ -287,12 +287,11 @@ func BenchmarkCFSParallelSpeedup(b *testing.B) {
 // trimmedCFS is the trimmed default-world configuration the engine
 // benches share (mirrors BenchmarkCFSParallelSpeedup's operating
 // point).
-func trimmedCFS(engine string, workers int) cfs.Config {
+func trimmedCFS(workers int) cfs.Config {
 	cfg := cfs.DefaultConfig()
 	cfg.MaxIterations = 10
 	cfg.FollowUpBudget = 200
 	cfg.AliasRounds = []int{1, 5}
-	cfg.Engine = engine
 	cfg.Workers = workers
 	return cfg
 }
@@ -305,12 +304,13 @@ func sumWork(res *cfs.Result) (dirty, recomputed float64) {
 	return dirty, recomputed
 }
 
-// benchCFSEngine runs the trimmed default-world pipeline under one
-// engine and reports the per-run work counters alongside the timing,
-// so `go test -bench CFSWorklist` shows the dirty-set win directly.
-func benchCFSEngine(b *testing.B, engine string, workers int) {
+// benchCFSWorklist runs the trimmed default-world pipeline and reports
+// the per-run work counters alongside the timing, so `go test -bench
+// CFSWorklist` shows the dirty-set work directly. The worklist-vs-rescan
+// ratio is internal/cfs's BenchmarkCFSWorklistSpeedup.
+func benchCFSWorklist(b *testing.B, workers int) {
 	e := benchEnv()
-	cfg := trimmedCFS(engine, workers)
+	cfg := trimmedCFS(workers)
 	var res *cfs.Result
 	for i := 0; i < b.N; i++ {
 		res = e.RunCFS(cfg)
@@ -321,38 +321,8 @@ func benchCFSEngine(b *testing.B, engine string, workers int) {
 	b.ReportMetric(100*res.ResolvedFraction(), "resolved_pct")
 }
 
-func BenchmarkCFSWorklistWorkers1(b *testing.B)   { benchCFSEngine(b, cfs.EngineWorklist, 1) }
-func BenchmarkCFSWorklistWorkersMax(b *testing.B) { benchCFSEngine(b, cfs.EngineWorklist, 0) }
-func BenchmarkCFSRescanWorkers1(b *testing.B)     { benchCFSEngine(b, cfs.EngineRescan, 1) }
-func BenchmarkCFSRescanWorkersMax(b *testing.B)   { benchCFSEngine(b, cfs.EngineRescan, 0) }
-
-// BenchmarkCFSWorklistSpeedup times a rescan and a worklist run back to
-// back at Workers=1 (pure scheduling effect, no pool) and reports the
-// wall-clock ratio plus both engines' recomputed-proposal totals. The
-// differential test guarantees the two runs return identical results.
-func BenchmarkCFSWorklistSpeedup(b *testing.B) {
-	e := benchEnv()
-	rescan := trimmedCFS(cfs.EngineRescan, 1)
-	worklist := trimmedCFS(cfs.EngineWorklist, 1)
-	var rescanNS, worklistNS int64
-	var rescanRes, worklistRes *cfs.Result
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		rescanRes = e.RunCFS(rescan)
-		t1 := time.Now()
-		worklistRes = e.RunCFS(worklist)
-		t2 := time.Now()
-		rescanNS += t1.Sub(t0).Nanoseconds()
-		worklistNS += t2.Sub(t1).Nanoseconds()
-	}
-	if worklistNS > 0 {
-		b.ReportMetric(float64(rescanNS)/float64(worklistNS), "speedup_x")
-	}
-	_, rr := sumWork(rescanRes)
-	_, wr := sumWork(worklistRes)
-	b.ReportMetric(rr, "rescan_recomputed")
-	b.ReportMetric(wr, "worklist_recomputed")
-}
+func BenchmarkCFSWorklistWorkers1(b *testing.B)   { benchCFSWorklist(b, 1) }
+func BenchmarkCFSWorklistWorkersMax(b *testing.B) { benchCFSWorklist(b, 0) }
 
 // BenchmarkMergeParallel exercises the worker-pool incremental merge
 // over three runs of the small world.

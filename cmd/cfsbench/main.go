@@ -1,28 +1,22 @@
-// Command cfsbench benchmarks the CFS iteration cores and writes a
+// Command cfsbench benchmarks the CFS iteration core and writes a
 // machine-readable report (BENCH_cfs.json by default): wall time per
 // run, probes issued, proposals recomputed, candidate-set narrowings,
-// and the process's peak RSS. Each run rebuilds a fresh environment so
-// the engines see bit-for-bit identical inputs; the tool fails if any
-// two engines disagree on the resolved count.
+// and the process's peak RSS. Each run rebuilds a fresh environment, so
+// every run sees bit-for-bit identical inputs. The report's engines
+// array holds one entry, "worklist" — the only core.
 //
-// -shards N adds a third entry, "sharded": the worklist core under the
-// metro-sharded converge/exchange scheduler with N shards. The report
-// then also carries shard_speedup_x, the worklist-to-sharded wall-time
-// ratio. -profile large benchmarks the internet-scale world under a
-// tight iteration budget (worklist vs sharded only — a paper-literal
-// full rescan is pointless at that scale); its report belongs in
-// BENCH_cfs_large.json, separate from the small-world artifact CI
-// gates on.
+// -profile large benchmarks the internet-scale world under a tight
+// iteration budget; its report belongs in BENCH_cfs_large.json,
+// separate from the small-world artifact CI gates on.
 //
-// Every engine is timed in both modes — observability off and on — and
-// the ratio is reported as obs_overhead_x. Each engine gets one untimed
-// warmup run per mode, and the timed runs interleave the two modes so
-// slow drift (thermal throttling, background GC debt) lands on both
-// equally rather than on whichever mode runs last. -max-overhead N
-// turns the ratio into a gate: exit nonzero when any engine's
-// enabled/disabled ratio exceeds N (0, the default, disables the
-// gate). CI uses a generous bound purely as a smoke check that the
-// disabled path stays free.
+// The core is timed in both modes — observability off and on — and
+// the ratio is reported as obs_overhead_x. Each mode gets one untimed
+// warmup run, and the timed runs interleave the two modes so slow
+// drift (thermal throttling, background GC debt) lands on both equally
+// rather than on whichever mode runs last. -max-overhead N turns the
+// ratio into a gate: exit nonzero when the enabled/disabled ratio
+// exceeds N (0, the default, disables the gate). CI uses a generous
+// bound purely as a smoke check that the disabled path stays free.
 //
 // -baseline FILE compares the fresh numbers against a previous report
 // (typically the committed BENCH_cfs.json, read before it is
@@ -46,8 +40,8 @@
 // Usage:
 //
 //	cfsbench [-profile small|medium|default|paper|large] [-seed N] [-runs N]
-//	         [-shards N] [-out FILE] [-max-overhead X] [-baseline FILE]
-//	         [-max-regress R] [-incremental N] [-serve]
+//	         [-out FILE] [-max-overhead X] [-baseline FILE] [-max-regress R]
+//	         [-incremental N] [-serve]
 package main
 
 import (
@@ -67,10 +61,10 @@ import (
 	"facilitymap/internal/world"
 )
 
-// engineReport is one engine's measurements. ns_per_op is the mean
-// wall time of a full CFS run (campaigns included, world generation
-// excluded) with observability disabled; ns_per_op_observed is the
-// same with metrics and tracing attached. allocs_per_op and
+// engineReport is the iteration core's measurements. ns_per_op is the
+// mean wall time of a full CFS run (campaigns included, world
+// generation excluded) with observability disabled; ns_per_op_observed
+// is the same with metrics and tracing attached. allocs_per_op and
 // bytes_per_op are the mean heap allocation count and volume of one
 // unobserved run (runtime.MemStats deltas around the timed region).
 type engineReport struct {
@@ -94,18 +88,16 @@ type report struct {
 	Runs         int    `json:"runs"`
 	GoMaxProcs   int    `json:"go_max_procs"`
 	PeakRSSBytes int64  `json:"peak_rss_bytes"`
-	// Shards is the -shards setting of the "sharded" entry (0 when the
-	// sharded engine was not benchmarked); ShardSpeedupX is the
-	// unsharded worklist's ns_per_op over the sharded engine's.
-	Shards        int            `json:"shards,omitempty"`
-	ShardSpeedupX float64        `json:"shard_speedup_x,omitempty"`
-	Engines       []engineReport `json:"engines"`
+	// Engines holds the one "worklist" entry; it stays an array so
+	// earlier reports, which listed several cores, still load as a
+	// -baseline.
+	Engines []engineReport `json:"engines"`
 
 	// The -incremental scenario: mean re-convergence time of one
 	// single-AS facility delta applied to a converged pipeline
 	// (ApplyDelta, surgical repair) against a fresh full run over the
 	// same mutated registry. Kept as top-level fields — the engines list
-	// stays one entry per full-run engine.
+	// describes full runs only.
 	IncrementalDeltas     int     `json:"incremental_deltas,omitempty"`
 	IncrementalNsPerOp    int64   `json:"incremental_ns_per_op,omitempty"`
 	FreshNsPerOp          int64   `json:"fresh_ns_per_op,omitempty"`
@@ -137,50 +129,32 @@ type report struct {
 	ServeStreamNsPerIf      int64   `json:"serve_stream_ns_per_if,omitempty"`
 }
 
-// engineSpec names one benchmark entry: the report label plus the full
-// CFS configuration it runs under.
-type engineSpec struct {
-	label string
-	cfg   cfs.Config
-}
+// worklistLabel names the report's engines entry, here and in the
+// -baseline report.
+const worklistLabel = "worklist"
 
-// benchSpecs builds the entry list for a profile: worklist and rescan
-// for the curated profiles, worklist only for the internet-scale one,
-// plus a "sharded" entry when -shards is set.
-func benchSpecs(profile string, shards int) []engineSpec {
-	base := cfs.DefaultConfig()
+// benchConfig is the CFS configuration a profile is benchmarked under:
+// the paper's operating point, or a budgeted one for the
+// internet-scale profile.
+func benchConfig(profile string) cfs.Config {
+	cfg := cfs.DefaultConfig()
 	if profile == "large" {
-		// The budgeted internet-scale operating point: every subsystem
-		// on, iteration/follow-up/alias budgets tight enough that a run
-		// finishes in minutes.
-		base.MaxIterations = 3
-		base.FollowUpBudget = 50
-		base.TargetsPerInterface = 2
-		base.VPsPerTarget = 1
-		base.AliasRounds = []int{1}
+		// Every subsystem on, iteration/follow-up/alias budgets tight
+		// enough that a run finishes in minutes.
+		cfg.MaxIterations = 3
+		cfg.FollowUpBudget = 50
+		cfg.TargetsPerInterface = 2
+		cfg.VPsPerTarget = 1
+		cfg.AliasRounds = []int{1}
 	}
-	withEngine := func(engine string, shards int) cfs.Config {
-		c := base
-		c.Engine = engine
-		c.Shards = shards
-		return c
-	}
-	specs := []engineSpec{{cfs.EngineWorklist, withEngine(cfs.EngineWorklist, 0)}}
-	if profile != "large" {
-		specs = append(specs, engineSpec{cfs.EngineRescan, withEngine(cfs.EngineRescan, 0)})
-	}
-	if shards > 0 {
-		specs = append(specs, engineSpec{"sharded", withEngine(cfs.EngineWorklist, shards)})
-	}
-	return specs
+	return cfg
 }
 
 func main() {
 	var (
 		profile     = flag.String("profile", "small", "world profile: small, medium, default, paper or large")
 		seed        = flag.Int64("seed", 42, "simulation seed")
-		runs        = flag.Int("runs", 3, "timed runs per engine per mode (fresh environment each)")
-		shards      = flag.Int("shards", 0, "also benchmark the metro-sharded scheduler with this many shards (0 = skip)")
+		runs        = flag.Int("runs", 3, "timed runs per mode (fresh environment each)")
 		out         = flag.String("out", "BENCH_cfs.json", "output file")
 		maxOverhead = flag.Float64("max-overhead", 0, "fail when obs-on/obs-off wall-time ratio exceeds this (0 = no gate)")
 		baseline    = flag.String("baseline", "", "previous report to compare against (read before -out is overwritten)")
@@ -247,42 +221,15 @@ func main() {
 		Runs:       *runs,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
-	for _, spec := range benchSpecs(*profile, *shards) {
-		er, err := measure(wcfg, *seed, spec, *runs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cfsbench: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Engines = append(rep.Engines, er)
-		fmt.Printf("%-9s %12d ns/op  %12d ns/op(observed)  %9d allocs/op  %10d B/op  %8d probes  %8d recomputed  %6d narrowings\n",
-			spec.label, er.NsPerOp, er.NsPerOpObserved, er.AllocsPerOp, er.BytesPerOp,
-			er.ProbesIssued, er.ProposalsRecomputed, er.Narrowings)
+	er, err := measure(wcfg, *seed, benchConfig(*profile), *runs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cfsbench: %v\n", err)
+		os.Exit(1)
 	}
-	for i, a := range rep.Engines {
-		for _, b := range rep.Engines[i+1:] {
-			if a.Resolved != b.Resolved || a.Interfaces != b.Interfaces {
-				fmt.Fprintf(os.Stderr, "cfsbench: engines diverged: %s resolved %d/%d, %s resolved %d/%d\n",
-					a.Engine, a.Resolved, a.Interfaces, b.Engine, b.Resolved, b.Interfaces)
-				os.Exit(1)
-			}
-		}
-	}
-	if *shards > 0 {
-		rep.Shards = *shards
-		var wl, sh *engineReport
-		for i := range rep.Engines {
-			switch rep.Engines[i].Engine {
-			case cfs.EngineWorklist:
-				wl = &rep.Engines[i]
-			case "sharded":
-				sh = &rep.Engines[i]
-			}
-		}
-		if wl != nil && sh != nil && sh.NsPerOp > 0 {
-			rep.ShardSpeedupX = float64(wl.NsPerOp) / float64(sh.NsPerOp)
-			fmt.Printf("shard speedup (%d shards): %.2fx\n", *shards, rep.ShardSpeedupX)
-		}
-	}
+	rep.Engines = []engineReport{er}
+	fmt.Printf("%-9s %12d ns/op  %12d ns/op(observed)  %9d allocs/op  %10d B/op  %8d probes  %8d recomputed  %6d narrowings\n",
+		er.Engine, er.NsPerOp, er.NsPerOpObserved, er.AllocsPerOp, er.BytesPerOp,
+		er.ProbesIssued, er.ProposalsRecomputed, er.Narrowings)
 	if *incremental > 0 {
 		if err := measureIncremental(&rep, wcfg, *seed, *incremental, *runs); err != nil {
 			fmt.Fprintf(os.Stderr, "cfsbench: %v\n", err)
@@ -323,14 +270,10 @@ func main() {
 	}
 	fmt.Printf("wrote %s (peak RSS %.1f MiB)\n", *out, float64(rep.PeakRSSBytes)/(1<<20))
 
-	if *maxOverhead > 0 {
-		for _, er := range rep.Engines {
-			if er.ObsOverheadX > *maxOverhead {
-				fmt.Fprintf(os.Stderr, "cfsbench: %s engine obs overhead %.2fx exceeds gate %.2fx\n",
-					er.Engine, er.ObsOverheadX, *maxOverhead)
-				os.Exit(1)
-			}
-		}
+	if *maxOverhead > 0 && er.ObsOverheadX > *maxOverhead {
+		fmt.Fprintf(os.Stderr, "cfsbench: obs overhead %.2fx exceeds gate %.2fx\n",
+			er.ObsOverheadX, *maxOverhead)
+		os.Exit(1)
 	}
 	if *minIncSpeed > 0 {
 		if rep.IncrementalSpeedupX < *minIncSpeed {
@@ -459,7 +402,7 @@ func loadReport(path string) (*report, error) {
 func checkRegression(base, fresh *report, frac float64) error {
 	find := func(rep *report) *engineReport {
 		for i := range rep.Engines {
-			if rep.Engines[i].Engine == cfs.EngineWorklist {
+			if rep.Engines[i].Engine == worklistLabel {
 				return &rep.Engines[i]
 			}
 		}
@@ -494,8 +437,8 @@ func checkRegression(base, fresh *report, frac float64) error {
 	return nil
 }
 
-// measure times full CFS runs of one engine in both modes and folds the
-// work counters of the final observed run into the report.
+// measure times full CFS runs in both modes and folds the work
+// counters of the final observed run into the report.
 //
 // Scheduling matters for obs_overhead_x: timing all obs-off runs then
 // all obs-on runs lets any monotone drift (first-touch page faults,
@@ -504,9 +447,8 @@ func checkRegression(base, fresh *report, frac float64) error {
 // faster than the unobserved one (overhead 0.94x — pure noise). One
 // untimed warmup per mode followed by strict off/on interleaving makes
 // the two series sample the same machine conditions.
-func measure(wcfg world.Config, seed int64, spec engineSpec, runs int) (engineReport, error) {
-	cfg := spec.cfg
-	er := engineReport{Engine: spec.label}
+func measure(wcfg world.Config, seed int64, cfg cfs.Config, runs int) (engineReport, error) {
+	er := engineReport{Engine: worklistLabel}
 
 	for _, observe := range []bool{false, true} {
 		if _, err := oneRun(wcfg, seed, cfg, observe, &er); err != nil {
@@ -574,7 +516,7 @@ func oneRun(wcfg world.Config, seed int64, cfg cfs.Config, observe bool, er *eng
 	s.allocs = int64(after.Mallocs - before.Mallocs)
 	s.bytes = int64(after.TotalAlloc - before.TotalAlloc)
 	if len(res.Interfaces) == 0 {
-		return s, fmt.Errorf("%s engine observed no interfaces", cfg.Engine)
+		return s, fmt.Errorf("run observed no interfaces")
 	}
 	er.ProbesIssued = int64(env.Engine.Probes())
 	er.Iterations = len(res.History)
@@ -590,8 +532,8 @@ func oneRun(wcfg world.Config, seed int64, cfg cfs.Config, observe bool, er *eng
 		if got := s.snap.Counters["trace.probes.traceroute"] +
 			s.snap.Counters["trace.probes.ping"] +
 			s.snap.Counters["trace.probes.fabric_ping"]; got != er.ProbesIssued {
-			return s, fmt.Errorf("%s engine: obs counters book %d probes, engine ledger %d",
-				cfg.Engine, got, er.ProbesIssued)
+			return s, fmt.Errorf("obs counters book %d probes, engine ledger %d",
+				got, er.ProbesIssued)
 		}
 	}
 	return s, nil

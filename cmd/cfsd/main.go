@@ -5,8 +5,8 @@
 // Usage:
 //
 //	cfsd [-addr :8080] [-profile small|medium|default|paper|large] [-seed N]
-//	     [-iterations N] [-workers N] [-engine worklist|rescan] [-shards N]
-//	     [-follow churn.jsonl] [-poll 1s] [-cache N] [-timeout 5s] [-inflight N]
+//	     [-iterations N] [-workers N] [-follow churn.jsonl] [-poll 1s]
+//	     [-cache N] [-timeout 5s] [-inflight N]
 //
 // Endpoints:
 //
@@ -59,8 +59,6 @@ func main() {
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		iterations = flag.Int("iterations", 100, "CFS iteration cap")
 		workers    = flag.Int("workers", 0, "worker goroutines for the parallel search phases and snapshot table builds (0 = one per CPU)")
-		engine     = flag.String("engine", "", "CFS iteration core: worklist (default) or rescan; deltas need worklist")
-		shards     = flag.Int("shards", 0, "metro-cluster shards for the worklist engine (0 = unsharded)")
 		follow     = flag.String("follow", "", "tail this JSONL churn log (see worldgen -churn -out) and apply new records")
 		poll       = flag.Duration("poll", time.Second, "poll interval for -follow")
 		batch      = flag.Int("batch", 256, "max records per epoch when applying a -follow tail")
@@ -76,8 +74,6 @@ func main() {
 		Seed:          *seed,
 		MaxIterations: *iterations,
 		Workers:       *workers,
-		Engine:        *engine,
-		Shards:        *shards,
 	})
 	if err != nil {
 		fatal(err)

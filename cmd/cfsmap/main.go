@@ -5,27 +5,18 @@
 // Usage:
 //
 //	cfsmap [-profile small|medium|default|paper|large] [-seed N]
-//	       [-iterations N] [-workers N] [-engine worklist|rescan]
-//	       [-shards N] [-v] [-limit N] [-unresolved] [-validate]
-//	       [-resilience] [-metrics] [-trace-log FILE] [-pprof ADDR]
+//	       [-iterations N] [-workers N] [-v] [-limit N] [-unresolved]
+//	       [-validate] [-resilience] [-metrics] [-trace-log FILE]
+//	       [-pprof ADDR]
 //
 // -workers bounds the goroutines used for the parallel phases of the
 // search (0 = one per CPU, 1 = fully serial). Every worker count
 // produces the identical mapping; the flag only trades wall-clock time
 // for cores.
 //
-// -engine picks the iteration core: the incremental worklist (default)
-// or the full-rescan escape hatch. Both produce the identical mapping;
-// -v prints the per-iteration convergence table (dirty adjacencies,
-// recomputed proposals, wall time) so the difference is observable.
-//
-// -shards N layers the metro-sharded converge/exchange scheduler on
-// top of the worklist engine: the dirty frontier is partitioned by
-// metro cluster and each shard converges concurrently, with a
-// deterministic exchange round for cross-shard constraints. Every
-// shard count produces the identical mapping; the flag matters on the
-// large profile, where per-metro parallelism is the only way a full
-// convergence run fits in reasonable wall-clock time.
+// -v prints the per-iteration convergence table: resolution progress
+// plus the incremental core's work counters (dirty adjacencies,
+// recomputed proposals) and wall time.
 //
 // Observability (strictly one-way: enabling any of these cannot change
 // the mapping):
@@ -75,8 +66,6 @@ func main() {
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		iterations = flag.Int("iterations", 100, "CFS iteration cap")
 		workers    = flag.Int("workers", 0, "worker goroutines for the parallel search phases (0 = one per CPU, 1 = serial)")
-		engine     = flag.String("engine", cfs.EngineWorklist, "CFS iteration core: worklist (incremental) or rescan (full)")
-		shards     = flag.Int("shards", 0, "metro-cluster shards for the worklist engine (0 = unsharded)")
 		verbose    = flag.Bool("v", false, "print the per-iteration convergence table (work counters, wall time)")
 		limit      = flag.Int("limit", 40, "rows of the mapping to print (0 = all)")
 		unresolved = flag.Bool("unresolved", false, "include unresolved interfaces in the listing")
@@ -97,12 +86,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *engine != cfs.EngineWorklist && *engine != cfs.EngineRescan {
-		fmt.Fprintf(os.Stderr, "cfsmap: unknown -engine %q (want %q or %q)\n",
-			*engine, cfs.EngineWorklist, cfs.EngineRescan)
-		os.Exit(2)
-	}
-
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
@@ -118,7 +101,7 @@ func main() {
 	}
 
 	if *pdbFile != "" || *tracesFile != "" {
-		if err := runOffline(*pdbFile, *bgpFile, *tracesFile, *iterations, *workers, *engine, *limit, *unresolved, *verbose, o); err != nil {
+		if err := runOffline(*pdbFile, *bgpFile, *tracesFile, *iterations, *workers, *limit, *unresolved, *verbose, o); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -131,16 +114,14 @@ func main() {
 		Seed:          *seed,
 		MaxIterations: *iterations,
 		Workers:       *workers,
-		Engine:        *engine,
-		Shards:        *shards,
 		Explain:       *why != "",
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	fmt.Printf("world: %d facilities, %d IXPs, %d ASes — running CFS (%s engine)...\n",
-		len(sys.Env.W.Facilities), len(sys.Env.W.IXPs), len(sys.Env.W.ASes), *engine)
+	fmt.Printf("world: %d facilities, %d IXPs, %d ASes — running CFS...\n",
+		len(sys.Env.W.Facilities), len(sys.Env.W.IXPs), len(sys.Env.W.ASes))
 	if o != nil {
 		sys.Env.Instrument(o)
 	}
@@ -302,8 +283,8 @@ func flushObservability(o *obs.Obs, metrics bool, traceLog string) {
 }
 
 // printHistory renders the per-iteration convergence table: resolution
-// progress plus the engine's work counters, so a rescan and a worklist
-// run can be compared without a profiler.
+// progress plus the engine's work counters (dirty adjacencies,
+// recomputed proposals), readable without a profiler.
 func printHistory(w io.Writer, history []cfs.IterationStats) {
 	fmt.Fprintf(w, "%-5s %-9s %-9s %-8s %-8s %-7s %-10s %s\n",
 		"ITER", "OBSERVED", "RESOLVED", "FOLLOW", "NEWADJ", "DIRTY", "RECOMPUTED", "WALL")
@@ -318,7 +299,7 @@ func printHistory(w io.Writer, history []cfs.IterationStats) {
 // BGP table and traceroute transcripts. Alias resolution, remote-peering
 // detection and targeted follow-ups need live measurement access and are
 // disabled; steps 1-2 plus the §4.3/§4.4 placements still run.
-func runOffline(pdbFile, bgpFile, tracesFile string, iterations, workers int, engine string, limit int, unresolved, verbose bool, o *obs.Obs) error {
+func runOffline(pdbFile, bgpFile, tracesFile string, iterations, workers, limit int, unresolved, verbose bool, o *obs.Obs) error {
 	if pdbFile == "" || tracesFile == "" {
 		return fmt.Errorf("offline mode needs both -peeringdb and -traces")
 	}
@@ -361,9 +342,6 @@ func runOffline(pdbFile, bgpFile, tracesFile string, iterations, workers int, en
 	cfg := cfs.DefaultConfig()
 	cfg.MaxIterations = iterations
 	cfg.Workers = workers
-	if engine != "" {
-		cfg.Engine = engine
-	}
 	cfg.UseTargeted = false
 	cfg.UseAliasResolution = false
 	cfg.UseRemoteDetection = false

@@ -7,7 +7,6 @@
 // Usage:
 //
 //	worldgen [-profile small|medium|default|paper|large] [-seed N] [-summary]
-//	worldgen -partition N ...   # also print the N-shard metro partition
 //	worldgen -check dump.json   # validate + summarise an existing dump
 //	worldgen -churn N ...       # emit an N-record delta log instead
 //	worldgen -churn N -out F    # append the log to F (tailable by cfsd -follow)
@@ -17,12 +16,6 @@
 // appearing and vanishing — drawn against the generated world. The log
 // replays into a running pipeline via cfsmap -deltas, or onto the world
 // itself with delta.ApplyToWorld (observation-layer records skipped).
-//
-// -partition N splits the world into N metro-keyed shards (the
-// decomposition the sharded CFS engine mirrors) and prints each shard's
-// interface count plus the cross-shard exchange load — the links and
-// IXP memberships that span shards. Useful for judging how balanced a
-// shard count is before running cfsmap -shards N.
 package main
 
 import (
@@ -36,13 +29,12 @@ import (
 
 func main() {
 	var (
-		profile   = flag.String("profile", "default", "world profile: small, medium, default, paper or large")
-		seed      = flag.Int64("seed", 42, "generation seed")
-		summary   = flag.Bool("summary", false, "print counts instead of the full JSON dump")
-		partition = flag.Int("partition", 0, "print the N-shard metro partition (shard sizes, cross-shard load)")
-		check     = flag.String("check", "", "load a dump, validate it and print its summary")
-		churn     = flag.Int("churn", 0, "emit an N-record JSONL delta log for the generated world instead of the dump")
-		out       = flag.String("out", "", "write to FILE instead of stdout; churn logs are appended, so a live cfsd -follow can tail the file")
+		profile = flag.String("profile", "default", "world profile: small, medium, default, paper or large")
+		seed    = flag.Int64("seed", 42, "generation seed")
+		summary = flag.Bool("summary", false, "print counts instead of the full JSON dump")
+		check   = flag.String("check", "", "load a dump, validate it and print its summary")
+		churn   = flag.Int("churn", 0, "emit an N-record JSONL delta log for the generated world instead of the dump")
+		out     = flag.String("out", "", "write to FILE instead of stdout; churn logs are appended, so a live cfsd -follow can tail the file")
 	)
 	flag.Parse()
 
@@ -58,9 +50,6 @@ func main() {
 			fatal(err)
 		}
 		printSummary(w)
-		if *partition > 0 {
-			printPartition(w, *partition)
-		}
 		return
 	}
 
@@ -95,13 +84,8 @@ func main() {
 		return
 	}
 
-	if *summary || *partition > 0 {
-		if *summary {
-			printSummary(w)
-		}
-		if *partition > 0 {
-			printPartition(w, *partition)
-		}
+	if *summary {
+		printSummary(w)
 		return
 	}
 	dst, closeDst, err := output(*out, false)
@@ -132,23 +116,6 @@ func output(path string, appendMode bool) (*os.File, func(), error) {
 		return nil, nil, err
 	}
 	return f, func() { f.Close() }, nil
-}
-
-// printPartition renders the metro-keyed shard split: per-shard metro
-// and interface counts, plus the exchange load the sharded CFS engine
-// would carry across shards.
-func printPartition(w *world.World, n int) {
-	p := world.PartitionByMetro(w, n)
-	fmt.Printf("partition   %d shards over %d metros\n", p.N, len(w.Metros))
-	metros := make([]int, p.N)
-	for _, s := range p.ShardOfMetro {
-		metros[s]++
-	}
-	for s := 0; s < p.N; s++ {
-		fmt.Printf("  shard %-3d %4d metros  %7d interfaces\n", s, metros[s], len(p.Interfaces[s]))
-	}
-	fmt.Printf("  exchange  %d cross-shard links, %d cross-shard memberships\n",
-		len(p.ExchangeLinks), len(p.ExchangeMemberships))
 }
 
 func printSummary(w *world.World) {

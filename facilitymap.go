@@ -59,18 +59,6 @@ type Config struct {
 	// search. 0 means one worker per available CPU; 1 runs fully
 	// serially. Every worker count produces the identical mapping.
 	Workers int
-	// Engine selects the CFS iteration core: "worklist" (incremental
-	// dirty-set propagation, the default — "" resolves to it) or
-	// "rescan" (reprocess everything each iteration). Both produce the
-	// identical mapping; the flag only trades engine bookkeeping for
-	// per-iteration work.
-	Engine string
-	// Shards > 0 layers the metro-sharded converge/exchange scheduler
-	// on top of the worklist engine: the dirty frontier is partitioned
-	// by metro cluster and converged concurrently, with a deterministic
-	// exchange round for cross-shard constraints. Every shard count
-	// produces the identical mapping. Requires the worklist engine.
-	Shards int
 	// Explain records, per interface, the constraints that produced its
 	// inference; Lookup then returns them as Evidence.
 	Explain bool
@@ -118,15 +106,6 @@ func NewSystem(cfg Config) (*System, error) {
 	default:
 		return nil, fmt.Errorf("facilitymap: unknown profile %q", cfg.Profile)
 	}
-	switch cfg.Engine {
-	case "", cfs.EngineWorklist, cfs.EngineRescan:
-	default:
-		return nil, fmt.Errorf("facilitymap: unknown engine %q (want %q or %q)",
-			cfg.Engine, cfs.EngineWorklist, cfs.EngineRescan)
-	}
-	if cfg.Shards > 0 && cfg.Engine == cfs.EngineRescan {
-		return nil, fmt.Errorf("facilitymap: Shards requires the worklist engine, not %q", cfg.Engine)
-	}
 	// The configured seed is honored verbatim, zero included: silently
 	// falling back to the profile default made Seed==0 the one value
 	// that could not be asked for, and masked forgotten-seed bugs in
@@ -143,10 +122,6 @@ func (s *System) MapInterconnections() *Mapping {
 		c.MaxIterations = s.cfg.MaxIterations
 	}
 	c.Workers = s.cfg.Workers
-	if s.cfg.Engine != "" {
-		c.Engine = s.cfg.Engine
-	}
-	c.Shards = s.cfg.Shards
 	c.TraceProvenance = s.cfg.Explain
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -165,8 +140,7 @@ func (s *System) MapInterconnections() *Mapping {
 // produce (see the cfs package's differential tests for the exact
 // regime). The snapshot's serving tables are built from its
 // predecessor's before it is published. Requires a prior
-// MapInterconnections and an incremental engine (the default). A
-// batch naming a facility outside the registry is rejected whole with
+// MapInterconnections. A batch naming a facility outside the registry is rejected whole with
 // an error matching delta.ErrUnknownFacility.
 func (s *System) Apply(log []delta.Delta) (*Mapping, error) {
 	s.mu.Lock()

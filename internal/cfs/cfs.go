@@ -22,7 +22,6 @@
 package cfs
 
 import (
-	"fmt"
 	"time"
 
 	"facilitymap/internal/alias"
@@ -33,24 +32,6 @@ import (
 	"facilitymap/internal/registry"
 	"facilitymap/internal/remote"
 	"facilitymap/internal/world"
-)
-
-// Engine selects the iteration-scheduling strategy of the CFS loop.
-// Both engines implement the same fixed-point semantics and produce
-// bit-for-bit identical results; they differ only in how much work each
-// iteration performs.
-const (
-	// EngineWorklist (the default) is the incremental core: a
-	// dependency index tracks which adjacencies and alias sets each
-	// interface feeds, and each iteration recomputes only the dirty
-	// ones — new adjacencies, adjacencies whose interface owners were
-	// repaired, and alias sets with a freshly-narrowed member.
-	EngineWorklist = "worklist"
-	// EngineRescan is the paper-literal loop: every iteration rescans
-	// every adjacency and every alias set. Kept as an escape hatch and
-	// as the reference the worklist engine is differentially tested
-	// against.
-	EngineRescan = "rescan"
 )
 
 // Config tunes the search and enables ablations.
@@ -75,38 +56,17 @@ type Config struct {
 	// resolution re-runs over the grown interface pool.
 	AliasRounds []int
 
-	// Workers bounds the goroutines used for the embarrassingly
-	// parallel phases of each iteration (path classification,
-	// per-adjacency constraint computation, follow-up target
-	// selection). 0 means runtime.GOMAXPROCS(0); 1 runs the exact
-	// serial code path with no goroutines. Results are bit-for-bit
-	// identical for every worker count: parallel phases are pure
-	// computations whose outputs merge on the coordinator in discovery
-	// order, and every measurement (traceroute, ping, alias probe) is
-	// issued from the coordinator in the serial order, so the
+	// Workers bounds the goroutines of the search's one parallel
+	// layer: the pure halves of each iteration (path classification,
+	// per-adjacency constraint proposals, alias-set intersections,
+	// follow-up target selection). 0 means runtime.GOMAXPROCS(0); 1
+	// runs the exact serial code path with no goroutines. Results are
+	// bit-for-bit identical for every worker count: parallel phases are
+	// pure computations whose outputs merge on the coordinator in
+	// discovery order, and every measurement (traceroute, ping, alias
+	// probe) is issued from the coordinator in the serial order, so the
 	// simulator's probe-counter-derived randomness is untouched.
 	Workers int
-
-	// Engine selects the iteration core: EngineWorklist (incremental
-	// dirty-set propagation, the default — the empty string resolves to
-	// it) or EngineRescan (full rescan per iteration). Both produce the
-	// identical Result; see the engine differential test.
-	Engine string
-
-	// Shards > 0 layers metro-cluster sharding on top of the worklist
-	// engine: the dirty work of every iteration is partitioned by the
-	// facility cluster each adjacency is anchored to, each shard
-	// converges its partition concurrently with a persistent per-shard
-	// ownership memo, and a coordinator exchange round applies the
-	// results in ascending global order and routes cross-shard
-	// invalidations (remote peering, tethering, alias sets spanning
-	// metros) to the shards they dirty. Results are bit-for-bit
-	// identical to the unsharded worklist engine — same resolved set,
-	// narrowings, conflicts and provenance; see the sharded
-	// differential test. 0 (the default) keeps the unsharded engine;
-	// combining Shards with EngineRescan is rejected by New, since the
-	// rescan engine has no dirty sets to partition.
-	Shards int
 
 	// Ablation switches.
 	UseAliasResolution bool
@@ -141,7 +101,6 @@ func DefaultConfig() Config {
 		UseRemoteDetection:  true,
 		UseProximity:        true,
 		Workers:             0, // auto: one worker per available CPU
-		Engine:              EngineWorklist,
 	}
 }
 
@@ -168,6 +127,11 @@ type Pipeline struct {
 	// is the only clock in the package and never influences an
 	// inference; injectable so tests can pin it.
 	now func() time.Time
+
+	// newEngine builds the iteration core over a fresh state: the
+	// worklist (worklist.go). Tests install the paper-literal rescan
+	// loop here as the oracle the worklist is checked against.
+	newEngine func(*state) engine
 
 	// Incremental-convergence state, populated by the first run and
 	// consumed by ApplyDelta: the converged engine state and the engine
@@ -246,27 +210,16 @@ func resolveMetrics(o *obs.Obs) pipelineMetrics {
 }
 
 // New builds a pipeline. det and prober may be nil when the matching
-// config switches are off. It returns an error for configurations that
-// would otherwise mis-select silently — today that is an unknown
-// Config.Engine (the empty string still resolves to the worklist
-// default); a typo like "rescn" must fail loudly rather than run the
-// wrong core.
+// config switches are off. The error is always nil: no configuration
+// is invalid any more, and the result stays for the callers (e2ebench
+// among them) that check it.
 func New(cfg Config, db *registry.Database, ipasn *ip2asn.Service,
 	svc *platform.Service, det *remote.Detector, prober *alias.Prober) (*Pipeline, error) {
-	switch cfg.Engine {
-	case "", EngineWorklist, EngineRescan:
-	default:
-		return nil, fmt.Errorf("cfs: unknown engine %q (want %q or %q)",
-			cfg.Engine, EngineWorklist, EngineRescan)
-	}
-	if cfg.Shards > 0 && cfg.Engine == EngineRescan {
-		return nil, fmt.Errorf("cfs: Shards=%d requires the worklist engine, not %q (the rescan engine has no dirty sets to partition)",
-			cfg.Shards, cfg.Engine)
-	}
 	return &Pipeline{
 		cfg: cfg, db: db, ipasn: ipasn, svc: svc, det: det, prober: prober,
-		fs: newFacsets(db),
-		m:  resolveMetrics(cfg.Obs),
+		fs:        newFacsets(db),
+		m:         resolveMetrics(cfg.Obs),
+		newEngine: func(st *state) engine { return newWorklist(st) },
 		//cfslint:ignore noclock the injected-clock boundary itself: wall time enters the pipeline only here, feeds IterationStats.WallTime, and never an inference; tests swap it out
 		now: time.Now,
 	}, nil
@@ -364,8 +317,8 @@ type IterationStats struct {
 	RemoteSeen int // interfaces flagged remote so far
 
 	// DirtyAdjs counts the adjacencies the constraint step visited this
-	// iteration: the popped dirty set under EngineWorklist, the whole
-	// adjacency list under EngineRescan.
+	// iteration: the worklist's popped dirty set (the rescan oracle in
+	// the tests visits the whole adjacency list).
 	DirtyAdjs int
 	// Recomputed counts constraint proposals plus alias-set
 	// intersections actually recomputed this iteration — the engine's

@@ -84,21 +84,6 @@ func runSmall(t testing.TB, cfg Config) (*stack, *Result) {
 	return s, p.Run(s.initialCorpus())
 }
 
-func TestNewRejectsUnknownEngine(t *testing.T) {
-	s := buildStack(t, world.Small())
-	cfg := DefaultConfig()
-	cfg.Engine = "rescn" // typo'd escape hatch must not silently run worklist
-	if _, err := New(cfg, s.db, s.ipasn, s.svc, s.det, s.prober); err == nil {
-		t.Fatal("New accepted unknown engine name")
-	}
-	for _, ok := range []string{"", EngineWorklist, EngineRescan} {
-		cfg.Engine = ok
-		if _, err := New(cfg, s.db, s.ipasn, s.svc, s.det, s.prober); err != nil {
-			t.Fatalf("New rejected valid engine %q: %v", ok, err)
-		}
-	}
-}
-
 func TestEndToEndAccuracy(t *testing.T) {
 	s, res := runSmall(t, DefaultConfig())
 	if len(res.Interfaces) == 0 {

@@ -114,17 +114,13 @@ func (p *Pipeline) Corpus() Observations {
 // re-converges incrementally, returning the next epoch's snapshot. The
 // database handed to New is modified in place (the remote-peering
 // detector shares the pointer and follows automatically). Requires a
-// completed Run and an incremental engine; the rescan engine keeps no
-// dependency index to repair and is rejected. A batch with an unknown
-// kind, or a facility-list delta naming a facility outside the
-// registry (delta.ErrUnknownFacility), is rejected before anything is
-// mutated: the epoch and the retained state stay as they were.
+// completed Run. A batch with an unknown kind, or a facility-list delta
+// naming a facility outside the registry (delta.ErrUnknownFacility), is
+// rejected before anything is mutated: the epoch and the retained state
+// stay as they were.
 func (p *Pipeline) ApplyDelta(log []delta.Delta) (*Result, error) {
 	if p.st == nil {
 		return nil, errors.New("cfs: ApplyDelta before Run — no converged state to repair")
-	}
-	if p.st.wl == nil {
-		return nil, fmt.Errorf("cfs: engine %q keeps no dependency index; deltas need the worklist or sharded engine", p.cfg.Engine)
 	}
 	for i, d := range log {
 		if !d.Kind.Valid() {
@@ -316,7 +312,7 @@ func (p *Pipeline) reingestEpoch() []IterationStats {
 		p.prober.ResetStream()
 	}
 	st := p.newState()
-	eng := newEngine(p.cfg, st)
+	eng := p.newEngine(st)
 	st.ingestPaths(p.obsIn.Paths)
 	for _, s := range p.obsIn.Sessions {
 		st.processSession(s)

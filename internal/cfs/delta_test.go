@@ -148,11 +148,10 @@ func churnSplit(t testing.TB, w *world.World, n int, seed int64) (surgical, mixe
 	return surgical, log
 }
 
-// TestDeltaSurgicalMatchesFresh is the tentpole's locked guarantee for
+// TestDeltaSurgicalMatchesFresh is the locked guarantee for
 // facility-list deltas: two ApplyDelta batches repaired in place must
 // land on the bit-for-bit fixed point of a fresh run over the doubly
-// mutated registry — across worlds, seeds, worker counts and shard
-// counts.
+// mutated registry — across worlds, seeds and worker counts.
 //
 // AliasRounds is pinned to a single resolve before iteration 1: with
 // one resolve, interface owners are fixed for the entire run, which is
@@ -161,32 +160,29 @@ func churnSplit(t testing.TB, w *world.World, n int, seed int64) (surgical, mixe
 // restriction and are covered below with the default multi-round
 // schedule.
 func TestDeltaSurgicalMatchesFresh(t *testing.T) {
-	grid := []struct{ workers, shards int }{{1, 0}, {8, 0}, {1, 4}, {8, 4}}
 	for _, seed := range []int64{23, 101, 7777} {
-		for _, g := range grid {
-			seed, g := seed, g
-			t.Run(fmt.Sprintf("small/seed=%d/w=%d/s=%d", seed, g.workers, g.shards), func(t *testing.T) {
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("small/seed=%d/w=%d", seed, workers), func(t *testing.T) {
 				t.Parallel()
-				runSurgicalDifferential(t, world.Small(), seed, g.workers, g.shards, 120)
+				runSurgicalDifferential(t, world.Small(), seed, workers, 120)
 			})
 		}
 	}
-	t.Run("medium/seed=42/w=8/s=4", func(t *testing.T) {
+	t.Run("medium/seed=42/w=8", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("medium-world differential run is slow")
 		}
 		t.Parallel()
-		runSurgicalDifferential(t, world.Medium(), 42, 8, 4, 200)
+		runSurgicalDifferential(t, world.Medium(), 42, 8, 200)
 	})
 }
 
-func runSurgicalDifferential(t *testing.T, wcfg world.Config, seed int64, workers, shards, churnN int) {
+func runSurgicalDifferential(t *testing.T, wcfg world.Config, seed int64, workers, churnN int) {
 	t.Helper()
 	env := buildDeltaEnv(t, wcfg, seed)
 	cfg := DefaultConfig()
 	cfg.MaxIterations = 10
 	cfg.Workers = workers
-	cfg.Shards = shards
 	cfg.UseTargeted = false
 	cfg.TraceProvenance = true
 	cfg.AliasRounds = []int{1}
@@ -237,32 +233,29 @@ func runSurgicalDifferential(t *testing.T, wcfg world.Config, seed int64, worker
 // registry and the delta-adjusted corpus — including under the default
 // multi-round alias schedule, which the surgical path cannot support.
 func TestDeltaReingestMatchesFresh(t *testing.T) {
-	grid := []struct{ workers, shards int }{{1, 0}, {8, 4}}
 	for _, seed := range []int64{23, 101, 7777} {
-		for _, g := range grid {
-			seed, g := seed, g
-			t.Run(fmt.Sprintf("small/seed=%d/w=%d/s=%d", seed, g.workers, g.shards), func(t *testing.T) {
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("small/seed=%d/w=%d", seed, workers), func(t *testing.T) {
 				t.Parallel()
-				runReingestDifferential(t, world.Small(), seed, g.workers, g.shards)
+				runReingestDifferential(t, world.Small(), seed, workers)
 			})
 		}
 	}
-	t.Run("medium/seed=42/w=8/s=4", func(t *testing.T) {
+	t.Run("medium/seed=42/w=8", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("medium-world differential run is slow")
 		}
 		t.Parallel()
-		runReingestDifferential(t, world.Medium(), 42, 8, 4)
+		runReingestDifferential(t, world.Medium(), 42, 8)
 	})
 }
 
-func runReingestDifferential(t *testing.T, wcfg world.Config, seed int64, workers, shards int) {
+func runReingestDifferential(t *testing.T, wcfg world.Config, seed int64, workers int) {
 	t.Helper()
 	env := buildDeltaEnv(t, wcfg, seed)
 	cfg := DefaultConfig()
 	cfg.MaxIterations = 10
 	cfg.Workers = workers
-	cfg.Shards = shards
 	cfg.UseTargeted = false
 	cfg.TraceProvenance = true
 	cfg.AliasRounds = []int{1, 5}
@@ -350,7 +343,7 @@ func TestDeltaAfterTargetedRun(t *testing.T) {
 }
 
 // TestApplyDeltaRejections pins the API contract: no deltas before an
-// initial run, no deltas on the rescan engine, no unknown kinds.
+// initial run, no unknown kinds.
 func TestApplyDeltaRejections(t *testing.T) {
 	env := buildDeltaEnv(t, world.Small(), 23)
 	cfg := DefaultConfig()
@@ -364,14 +357,6 @@ func TestApplyDeltaRejections(t *testing.T) {
 	_ = p.RunObservations(copyObs(env.corpus))
 	if _, err := p.ApplyDelta([]delta.Delta{{Kind: "frobnicate"}}); err == nil {
 		t.Fatal("unknown delta kind accepted")
-	}
-
-	rcfg := cfg
-	rcfg.Engine = EngineRescan
-	rp := mustNew(t, rcfg, env.db, env.ipasn, env.svc, env.det, env.prober)
-	_ = rp.RunObservations(copyObs(env.corpus))
-	if _, err := rp.ApplyDelta(nil); err == nil {
-		t.Fatal("rescan engine accepted deltas despite having no dependency index")
 	}
 }
 

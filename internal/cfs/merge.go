@@ -14,10 +14,8 @@ import (
 // possible to incrementally construct a more detailed map of
 // interconnections."
 //
-// Merge consumes finished Results, after an engine has run its loop to
-// the fixed point, so it is engine-agnostic: rescan-produced and
-// worklist-produced results (identical by the differential test) merge
-// identically.
+// Merge consumes finished Results, after the loop has run to its fixed
+// point, so it never sees how an iteration was scheduled.
 //
 // Per interface, candidate sets intersect across runs (each run's set is
 // a sound over-approximation, so the intersection is too); an interface

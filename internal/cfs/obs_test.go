@@ -22,18 +22,21 @@ func fakeClock() func() time.Time {
 
 // TestObsEnabledRunsBitForBitIdentical: attaching full observability —
 // metrics and tracing on the trace engine, the platform scheduler and
-// the CFS loop — must not change a single inference, for either
-// iteration core. This is the one-way-observation invariant; combined
-// with TestWorklistMatchesRescan it also proves the engine differential
-// holds with observability enabled.
+// the CFS loop — must not change a single inference, for the worklist
+// or the rescan oracle. This is the one-way-observation invariant;
+// combined with TestWorklistMatchesRescan it also proves the engine
+// differential holds with observability enabled.
 func TestObsEnabledRunsBitForBitIdentical(t *testing.T) {
-	for _, engine := range []string{EngineWorklist, EngineRescan} {
-		plain := engineConfig(engine, 4)
-		observed := engineConfig(engine, 4)
+	for _, core := range []struct {
+		name  string
+		setup func(*Pipeline)
+	}{{"worklist", nil}, {"rescan", useRescan}} {
+		plain := workersConfig(4)
+		observed := workersConfig(4)
 		observed.Obs = obs.New(1 << 12)
-		a := freshRun(t, world.Small(), 23, plain)
-		b := freshRun(t, world.Small(), 23, observed)
-		requireCrossEngineResults(t, "obs on/off, "+engine+" engine", a, b)
+		a := freshRunWith(t, world.Small(), 23, plain, core.setup)
+		b := freshRunWith(t, world.Small(), 23, observed, core.setup)
+		requireCrossEngineResults(t, "obs on/off, "+core.name+" engine", a, b)
 	}
 }
 
@@ -84,7 +87,7 @@ func TestObsCountersMatchEngineProbes(t *testing.T) {
 // TestMergeObservedMatchesMerge: the observed fold returns the same
 // Result and books the fold's shape.
 func TestMergeObservedMatchesMerge(t *testing.T) {
-	_, r1 := runSmall(t, engineConfig(EngineWorklist, 1))
+	_, r1 := runSmall(t, workersConfig(1))
 	o := obs.New(16)
 	plain := Merge(r1, r1)
 	observed := MergeObserved(o, 0, r1, r1)
@@ -109,7 +112,7 @@ func TestMergeObservedMatchesMerge(t *testing.T) {
 // between them.
 func TestWallTimeExcludesSnapshotOverhead(t *testing.T) {
 	s := buildStack(t, world.Small())
-	cfg := engineConfig(EngineWorklist, 1)
+	cfg := workersConfig(1)
 	cfg.MaxIterations = 1
 	p := mustNew(t, cfg, s.db, s.ipasn, s.svc, s.det, s.prober)
 	p.now = fakeClock()

@@ -14,12 +14,12 @@ import (
 // computation and each unresolved interface's target selection is
 // independent of the others until the merge/alias step. The files in
 // this package split every such phase into a pure compute half and a
-// mutating apply half. Compute halves run sharded across a bounded
-// worker pool; apply halves run on the coordinator goroutine in
-// discovery order, so parallel runs are bit-for-bit identical to
-// Workers=1 — deterministic merge order comes from index-addressed
-// shard outputs, never from map-iteration or goroutine-completion
-// order.
+// mutating apply half. The Config.Workers pool is the search's one
+// parallel layer: compute halves run in contiguous chunks across it,
+// and apply halves run on the coordinator goroutine in discovery
+// order, so parallel runs are bit-for-bit identical to Workers=1 —
+// deterministic merge order comes from index-addressed chunk outputs,
+// never from map-iteration or goroutine-completion order.
 //
 // Measurements are never issued from workers. The simulated trace
 // engine derives per-measurement randomness from a global probe
@@ -27,11 +27,11 @@ import (
 // alias probe in exactly the serial order; only the surrounding pure
 // computation fans out.
 //
-// The split is engine-agnostic: the rescan engine shards the full
-// adjacency and alias-set lists, the worklist engine (worklist.go)
-// shards only its dirty subsets. Both reuse the same compute halves and
-// the same apply order (ascending index), so worker count and engine
-// choice compose freely without changing results.
+// The worklist (worklist.go) fans out only its dirty subsets; the
+// rescan oracle in the tests fans out the full adjacency and alias-set
+// lists. Both reuse the same compute halves and the same apply order
+// (ascending index), so every worker count gives the same result under
+// either core.
 
 // Spawn thresholds: below these input sizes a phase runs serially even
 // when Workers > 1, because goroutine startup costs more than the work.

@@ -24,6 +24,13 @@ import (
 // run on the same engine sees different RTT draws than the first.
 func freshRun(t testing.TB, wcfg world.Config, seed int64, cfg Config) *Result {
 	t.Helper()
+	return freshRunWith(t, wcfg, seed, cfg, nil)
+}
+
+// freshRunWith is freshRun with a hook that adjusts the pipeline before
+// it runs; useRescan installs the rescan oracle through it.
+func freshRunWith(t testing.TB, wcfg world.Config, seed int64, cfg Config, setup func(*Pipeline)) *Result {
+	t.Helper()
 	w := world.Generate(wcfg)
 	rt := bgp.Compute(w)
 	engine := trace.New(w, rt, seed)
@@ -51,6 +58,9 @@ func freshRun(t testing.TB, wcfg world.Config, seed int64, cfg Config) *Result {
 		svc.Instrument(cfg.Obs)
 	}
 	p := mustNew(t, cfg, s.db, s.ipasn, s.svc, s.det, s.prober)
+	if setup != nil {
+		setup(p)
+	}
 	return p.RunObservations(Observations{Paths: s.initialCorpus(), Sessions: sessions})
 }
 

@@ -16,11 +16,13 @@ func (p *Pipeline) Run(initial []trace.Path) *Result {
 	return p.run(Observations{Paths: initial})
 }
 
-// engine schedules the per-iteration work of the CFS loop. Both
-// implementations share all state-mutation code; they differ only in
-// which adjacencies and alias sets an iteration visits. The contract —
-// enforced by the engine differential test — is that every engine
-// produces the bit-for-bit identical Result.
+// engine schedules the per-iteration work of the CFS loop. The one
+// runtime implementation is the worklist (worklist.go); the tests hold
+// a second, the paper-literal rescan loop, as the oracle. Both share
+// all state-mutation code and differ only in which adjacencies and
+// alias sets an iteration visits, and the contract — enforced by the
+// worklist-vs-rescan differential — is that both produce the
+// bit-for-bit identical Result.
 type engine interface {
 	// resolveAliases (re-)runs alias resolution before an iteration.
 	resolveAliases()
@@ -32,40 +34,9 @@ type engine interface {
 	aliasPass() (recomputed int)
 }
 
-// rescanEngine is the paper-literal fixed-point loop: every iteration
-// reprocesses every adjacency and every alias set. Correct because all
-// constraints are monotone; wasteful because after the first pass only
-// state touched by new observations can still change.
-type rescanEngine struct{ st *state }
-
-func (e *rescanEngine) resolveAliases() { e.st.resolveAliases() }
-
-func (e *rescanEngine) constraintPass() (dirty, recomputed int) {
-	e.st.applyConstraints()
-	return len(e.st.adjOrder), len(e.st.adjOrder)
-}
-
-func (e *rescanEngine) aliasPass() (recomputed int) { return e.st.aliasStep() }
-
-// newEngine selects the iteration core for cfg. Unknown names and the
-// Shards+rescan combination are rejected by New before a Pipeline
-// exists, so by the time this runs cfg.Engine is "", EngineWorklist, or
-// EngineRescan; the empty string resolves to the worklist default, and
-// Shards > 0 layers the metro-sharded converge/exchange scheduler on
-// top of the worklist core.
-func newEngine(cfg Config, st *state) engine {
-	if cfg.Engine == EngineRescan {
-		return &rescanEngine{st: st}
-	}
-	if cfg.Shards > 0 {
-		return newSharded(st, cfg.Shards)
-	}
-	return newWorklist(st)
-}
-
 func (p *Pipeline) run(in Observations) *Result {
 	st := p.newState()
-	eng := newEngine(p.cfg, st)
+	eng := p.newEngine(st)
 	st.ingestPaths(in.Paths)
 	for _, s := range in.Sessions {
 		st.processSession(s)
@@ -98,7 +69,7 @@ func (p *Pipeline) converge(st *state, eng engine, useTargeted bool) []Iteration
 
 	var history []IterationStats
 	for iter := 1; iter <= p.cfg.MaxIterations; iter++ {
-		// WallTime clock boundaries are identical for both engines: the
+		// WallTime clock boundaries are identical for every engine: the
 		// engine phases (alias resolve, constraint pass, alias pass) and
 		// the follow-up round are timed; the snapshot scan and all metric
 		// emission in between are excluded, so enabling observability

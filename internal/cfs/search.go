@@ -52,16 +52,16 @@ type state struct {
 	// conflicts counts distinct conflicts. Counting is transition-based
 	// — a given adjacency side or alias set increments it at most once
 	// per cause (adjConflicts / setConflicts record what was already
-	// counted) — so the rescan engine, which keeps re-attempting the
-	// same doomed intersections, agrees with the worklist engine, which
-	// never revisits them.
+	// counted) — so the rescan oracle in the tests, which keeps
+	// re-attempting the same doomed intersections, agrees with the
+	// worklist, which never revisits them.
 	conflicts    int
 	adjConflicts map[adjConflictKey]bool
 	setConflicts map[netaddr.IP]bool // keyed by the set's first member
 	changed      bool
 
-	// wl is the dirty-set tracker when the worklist engine drives this
-	// state; nil under the rescan engine. constrain reports every
+	// wl is the dirty-set tracker when the worklist drives this state;
+	// nil under the rescan oracle the tests run. constrain reports every
 	// candidate-set narrowing to it so dependent alias sets re-enqueue.
 	wl *worklist
 
@@ -419,33 +419,6 @@ func (st *state) computeProposal(a *Adjacency, owner ownerFn) adjProposal {
 	return pr
 }
 
-// applyConstraints runs Step 2 over every adjacency. Constraints are
-// monotone, so reprocessing is safe and picks up owner repairs and new
-// remote-detection verdicts. With multiple workers the proposal
-// computation shards over the adjacency list; the apply half always
-// walks adjOrder on the coordinator so candidate-set mutations,
-// conflict counts and remote-detection measurements happen in exactly
-// the serial order.
-func (st *state) applyConstraints() {
-	adjs := st.adjOrder
-	if w := st.p.cfg.workerCount(); w > 1 && len(adjs) >= minParallelAdjs {
-		proposals := make([]adjProposal, len(adjs))
-		parallelRanges(len(adjs), w, func(_, lo, hi int) {
-			owner := st.readOnlyOwner()
-			for i := lo; i < hi; i++ {
-				proposals[i] = st.computeProposal(adjs[i], owner.ownerOf)
-			}
-		})
-		for i, a := range adjs {
-			st.applyProposal(i, a, proposals[i])
-		}
-		return
-	}
-	for i, a := range adjs {
-		st.applyProposal(i, a, st.computeProposal(a, st.ownerOf))
-	}
-}
-
 func (st *state) applyProposal(idx int, a *Adjacency, pr adjProposal) {
 	if a.Public {
 		st.applyPublic(idx, a, pr)
@@ -568,31 +541,15 @@ func (st *state) setIntersection(set []netaddr.IP) facset {
 	return inter
 }
 
-// aliasStep propagates constraints across alias sets (Step 3): all
-// interfaces of one router share a facility, so their candidate sets
-// intersect. The rescan engine revisits every set each iteration; the
-// worklist engine calls aliasStepSets with only the dirty ones.
-func (st *state) aliasStep() (recomputed int) {
-	if st.sets == nil {
-		return 0
-	}
-	sets := st.sets.All()
-	idxs := make([]int, 0, len(sets))
-	for i, set := range sets {
-		if len(set) >= 2 {
-			idxs = append(idxs, i)
-		}
-	}
-	return st.aliasStepSets(idxs)
-}
-
-// aliasStepSets runs Step 3 over the multi-member alias sets named by
-// ascending indices into Sets.All. Alias sets partition the pool, so
-// the per-set intersections are independent: with multiple workers they
-// precompute sharded over the index list, and the constrain half
-// applies them on the coordinator in set order — identical to the
-// serial interleaving because no set's constraint can touch another
-// set's members. Returns the number of intersections recomputed.
+// aliasStepSets runs Step 3 — all interfaces of one router share a
+// facility, so their candidate sets intersect — over the multi-member
+// alias sets named by ascending indices into Sets.All. Alias sets
+// partition the pool, so the per-set intersections are independent:
+// with multiple workers they precompute in parallel over the index
+// list, and the constrain half applies them on the coordinator in set
+// order — identical to the serial interleaving because no set's
+// constraint can touch another set's members. Returns the number of
+// intersections recomputed.
 func (st *state) aliasStepSets(idxs []int) (recomputed int) {
 	sets := st.sets.All()
 	inters := make([]facset, len(idxs))
@@ -607,17 +564,6 @@ func (st *state) aliasStepSets(idxs []int) (recomputed int) {
 			inters[i] = st.setIntersection(sets[idx])
 		}
 	}
-	return st.aliasApplySets(idxs, inters)
-}
-
-// aliasApplySets is the mutating half of Step 3: it applies precomputed
-// per-set intersections (position-matched to idxs) on the coordinator
-// in ascending set order. Split from the compute half so the sharded
-// engine can fan the intersections out by shard while keeping this
-// apply order — which is identical to the fully serial interleaving,
-// because no set's constraint can touch another set's members.
-func (st *state) aliasApplySets(idxs []int, inters []facset) (recomputed int) {
-	sets := st.sets.All()
 	for i, idx := range idxs {
 		set := sets[idx]
 		inter := inters[i]

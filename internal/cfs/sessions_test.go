@@ -83,7 +83,7 @@ func TestSessionsImproveResolution(t *testing.T) {
 // usable /30 slot derives its partner (pinned to the glass's AS), a
 // peer on a network/broadcast slot is dropped entirely, a peer on an
 // IXP LAN synthesises a far-side-only adjacency — and the rescan
-// engine ingests all three identically.
+// oracle ingests all three identically.
 func TestSessionZeroLocalIP(t *testing.T) {
 	s := buildStack(t, world.Small())
 
@@ -125,17 +125,20 @@ func TestSessionZeroLocalIP(t *testing.T) {
 		{LGAS: lgAS, PeerIP: droppedPeer, PeerAS: privAS},
 		{LGAS: lgAS, PeerIP: pubPeer, PeerAS: pubAS},
 	}}
-	runEngine := func(engine string) *Result {
+	runEngine := func(setup func(*Pipeline)) *Result {
 		cfg := DefaultConfig()
-		cfg.Engine = engine
 		cfg.Workers = 1
 		cfg.MaxIterations = 3
 		cfg.UseTargeted = false
 		cfg.UseAliasResolution = false
 		cfg.UseRemoteDetection = false
-		return mustNew(t, cfg, s.db, s.ipasn, nil, nil, nil).RunObservations(obs)
+		p := mustNew(t, cfg, s.db, s.ipasn, nil, nil, nil)
+		if setup != nil {
+			setup(p)
+		}
+		return p.RunObservations(obs)
 	}
-	res := runEngine(EngineWorklist)
+	res := runEngine(nil)
 
 	near := P2PPartner(privPeer)
 	ir := res.Interfaces[near]
@@ -165,8 +168,9 @@ func TestSessionZeroLocalIP(t *testing.T) {
 	}
 
 	// No measurements issue in this configuration, so a second run over
-	// the same stack is deterministic: both engines must agree exactly.
-	requireCrossEngineResults(t, "zero-LocalIP sessions", runEngine(EngineRescan), res)
+	// the same stack is deterministic: the rescan oracle must agree
+	// exactly.
+	requireCrossEngineResults(t, "zero-LocalIP sessions", runEngine(useRescan), res)
 }
 
 // TestSessionPublicFarSide: a session whose peer sits on an IXP LAN

@@ -1,23 +1,24 @@
 package cfs
 
-// The incremental worklist engine. The rescan engine reprocesses every
-// adjacency and alias set each iteration even though, after the first
-// pass, only state touched by new observations can still change. This
-// engine maintains a dependency index —
+// The incremental worklist engine, the CFS loop's one iteration core.
+// The paper-literal loop reprocesses every adjacency and alias set each
+// iteration even though, after the first pass, only state touched by
+// new observations can still change. This engine maintains a
+// dependency index —
 //
 //   interface        → adjacencies whose proposal reads its owner
 //   alias set        → member interfaces (setOf, inverted)
 //   AS / IXP         → adjacencies constrained by its facility list
 //
 // — and dirty sets seeded by path ingestion. Each iteration pops only
-// the dirty adjacencies, recomputes their proposals (sharded over the
-// Config.Workers pool exactly like the rescan engine's full pass), and
-// re-enqueues dependents when constrain() actually narrows a candidate
-// set.
+// the dirty adjacencies, recomputes their proposals (fanned out over
+// the Config.Workers pool), and re-enqueues dependents when constrain()
+// actually narrows a candidate set.
 //
-// Equivalence with rescan is an invariant, not an aspiration (see the
-// differential test). It rests on three properties of the shared state
-// code:
+// Equivalence with the paper-literal loop is an invariant, not an
+// aspiration: the tests keep that loop as the rescan oracle
+// (rescan_test.go) and run the worklist differential against it. It
+// rests on three properties of the shared state code:
 //
 //  1. A constraint proposal reads only interface owners and the static
 //     registry, never candidate sets. So an adjacency's proposal can
@@ -33,7 +34,7 @@ package cfs
 //     narrowed from outside or after a set rebuild.
 //
 // Dirty work is always applied in ascending index order — the same
-// relative order the rescan engine uses — so candidate-set mutations,
+// relative order the full rescan uses — so candidate-set mutations,
 // provenance, conflict discovery and the serially-issued measurements
 // interleave identically.
 
@@ -75,14 +76,6 @@ type worklist struct {
 	// own intersection is being applied to its members, their narrowing
 	// must not re-dirty the set (it is at its fixed point afterwards).
 	applyingSet int
-
-	// Exchange-accounting hooks, set by the sharded engine. Purely
-	// observational — they fire on dirty-state transitions and must
-	// never influence which work gets enqueued. onDirtySet fires when a
-	// clean alias set becomes dirty; onOwnerRedirty fires when an owner
-	// repair re-dirties an interface's dependent adjacencies.
-	onDirtySet     func(setIdx int)
-	onOwnerRedirty func(ip netaddr.IP, idxs []int)
 }
 
 func newWorklist(st *state) *worklist {
@@ -105,12 +98,7 @@ func newWorklist(st *state) *worklist {
 // narrows: the alias set containing ip must re-intersect.
 func (w *worklist) candChanged(ip netaddr.IP) {
 	if idx, ok := w.setOf[ip]; ok && idx != w.applyingSet {
-		if !w.dirtySets[idx] {
-			w.dirtySets[idx] = true
-			if w.onDirtySet != nil {
-				w.onDirtySet(idx)
-			}
-		}
+		w.dirtySets[idx] = true
 	}
 }
 
@@ -160,9 +148,6 @@ func (w *worklist) resolveAliases() {
 		for _, idx := range idxs {
 			w.dirtyAdj[idx] = true
 		}
-		if w.onOwnerRedirty != nil {
-			w.onOwnerRedirty(ip, idxs)
-		}
 		if asn != 0 {
 			w.asAdjs[asn] = append(w.asAdjs[asn], idxs...)
 		}
@@ -190,9 +175,8 @@ func (w *worklist) rebuildSets() {
 }
 
 // constraintPass pops the dirty adjacencies and reprocesses only them,
-// in ascending index order. Proposal computation shards over the
-// worker pool exactly as the rescan engine's full pass does; the apply
-// half runs on the coordinator.
+// in ascending index order. Proposal computation fans out over the
+// worker pool; the apply half runs on the coordinator.
 func (w *worklist) constraintPass() (dirty, recomputed int) {
 	st := w.st
 	w.register()

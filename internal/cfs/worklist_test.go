@@ -7,9 +7,8 @@ import (
 	"facilitymap/internal/world"
 )
 
-func engineConfig(engine string, workers int) Config {
+func workersConfig(workers int) Config {
 	cfg := DefaultConfig()
-	cfg.Engine = engine
 	cfg.Workers = workers
 	return cfg
 }
@@ -23,8 +22,8 @@ func totalRecomputed(r *Result) int {
 }
 
 // TestWorklistMatchesRescan is the engine differential harness: the
-// same (world, seed, workers) run under the rescan engine and the
-// worklist engine must produce bit-for-bit identical results — same
+// same (world, seed, workers) run under the rescan oracle and the
+// worklist must produce bit-for-bit identical results — same
 // inferences, links, convergence curve, conflict counts and provenance
 // — because dirty-set scheduling may skip work but never reorder the
 // serially-issued measurements. On the default world the worklist must
@@ -34,8 +33,8 @@ func TestWorklistMatchesRescan(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("small/seed=%d/workers=%d", seed, workers), func(t *testing.T) {
 				t.Parallel()
-				a := freshRun(t, world.Small(), seed, engineConfig(EngineRescan, workers))
-				b := freshRun(t, world.Small(), seed, engineConfig(EngineWorklist, workers))
+				a := rescanRun(t, world.Small(), seed, workersConfig(workers))
+				b := freshRun(t, world.Small(), seed, workersConfig(workers))
 				requireCrossEngineResults(t, "small world", a, b)
 			})
 		}
@@ -47,12 +46,8 @@ func TestWorklistMatchesRescan(t *testing.T) {
 					t.Skip("default-world differential runs are slow")
 				}
 				t.Parallel()
-				rescan := defaultWorldConfig(workers)
-				rescan.Engine = EngineRescan
-				wl := defaultWorldConfig(workers)
-				wl.Engine = EngineWorklist
-				a := freshRun(t, world.Default(), seed, rescan)
-				b := freshRun(t, world.Default(), seed, wl)
+				a := rescanRun(t, world.Default(), seed, defaultWorldConfig(workers))
+				b := freshRun(t, world.Default(), seed, defaultWorldConfig(workers))
 				requireCrossEngineResults(t, "default world", a, b)
 				if ra, rb := totalRecomputed(a), totalRecomputed(b); rb >= ra {
 					t.Errorf("worklist recomputed %d proposals, rescan %d: want strictly fewer", rb, ra)
@@ -65,23 +60,21 @@ func TestWorklistMatchesRescan(t *testing.T) {
 // TestWorklistProvenanceMatchesRescan pins the most ordering-sensitive
 // output: the per-interface constraint trace must be identical because
 // provenance records only set-changing applications, and those happen
-// in the same order under both engines.
+// in the same order under both cores.
 func TestWorklistProvenanceMatchesRescan(t *testing.T) {
-	rescan := engineConfig(EngineRescan, 1)
-	rescan.TraceProvenance = true
-	wl := rescan
-	wl.Engine = EngineWorklist
-	a := freshRun(t, world.Small(), 23, rescan)
-	b := freshRun(t, world.Small(), 23, wl)
+	cfg := workersConfig(1)
+	cfg.TraceProvenance = true
+	a := rescanRun(t, world.Small(), 23, cfg)
+	b := freshRun(t, world.Small(), 23, cfg)
 	requireCrossEngineResults(t, "provenance", a, b)
 }
 
 // TestWorklistDoesLessWork: after the first iteration the worklist's
 // dirty set must be a strict subset of the adjacency list the rescan
-// engine rescans (new observations only), on the small world too.
+// oracle rescans (new observations only), on the small world too.
 func TestWorklistDoesLessWork(t *testing.T) {
-	a := freshRun(t, world.Small(), 23, engineConfig(EngineRescan, 1))
-	b := freshRun(t, world.Small(), 23, engineConfig(EngineWorklist, 1))
+	a := rescanRun(t, world.Small(), 23, workersConfig(1))
+	b := freshRun(t, world.Small(), 23, workersConfig(1))
 	if len(b.History) < 2 {
 		t.Fatalf("run converged in %d iterations; need 2+ to compare engines", len(b.History))
 	}

@@ -214,8 +214,7 @@ func (e *Env) RunCFSPipeline(cfg cfs.Config) (*cfs.Pipeline, *cfs.Result) {
 	p, err := cfs.New(cfg, e.DB, e.IPASN, e.Svc, e.Det, e.Prober)
 	if err != nil {
 		// Harness configs are built in code, not parsed from user input;
-		// an invalid engine name here is a programming error. User-facing
-		// validation lives in the facade and the CLI.
+		// a rejected one is a programming error.
 		panic(err)
 	}
 	res := p.RunObservations(cfs.Observations{

@@ -11,24 +11,23 @@ import (
 // internet-scale smoke runs: every subsystem stays on, but iteration,
 // follow-up and alias budgets shrink so a Large-world convergence run
 // finishes in CI minutes, not hours.
-func budgetedLargeConfig(shards int) cfs.Config {
+func budgetedLargeConfig() cfs.Config {
 	cfg := cfs.DefaultConfig()
 	cfg.MaxIterations = 3
 	cfg.FollowUpBudget = 50
 	cfg.TargetsPerInterface = 2
 	cfg.VPsPerTarget = 1
 	cfg.AliasRounds = []int{1}
-	cfg.Shards = shards
 	return cfg
 }
 
-// TestLargeWorldShardedConvergence is the end-to-end smoke for the
+// TestLargeWorldConvergence is the end-to-end smoke for the
 // internet-scale profile: build the full observational stack over
-// world.Large (scaled fleet, sampled wide scan), run the metro-sharded
-// engine under a tight budget, and check the run actually inferred
-// something sensible. Generation plus the campaign take minutes, so
-// -short skips it; the nightly CI job runs it in full.
-func TestLargeWorldShardedConvergence(t *testing.T) {
+// world.Large (scaled fleet, sampled wide scan), run CFS under a tight
+// budget, and check the run actually inferred something sensible.
+// Generation plus the campaign take minutes, so -short skips it; the
+// nightly CI job runs it in full.
+func TestLargeWorldConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Large-world convergence run takes minutes")
 	}
@@ -44,7 +43,7 @@ func TestLargeWorldShardedConvergence(t *testing.T) {
 		t.Fatalf("scaled deployment placed %d vantage points, want a bounded non-empty fleet", fleet)
 	}
 
-	res := env.RunCFS(budgetedLargeConfig(8))
+	res := env.RunCFS(budgetedLargeConfig())
 	if len(res.Interfaces) == 0 {
 		t.Fatal("run observed no peering interfaces")
 	}
@@ -52,7 +51,7 @@ func TestLargeWorldShardedConvergence(t *testing.T) {
 		t.Fatal("run recorded no iterations")
 	}
 	if res.Resolved() == 0 {
-		t.Error("budgeted sharded run resolved no interface to a facility")
+		t.Error("budgeted run resolved no interface to a facility")
 	}
 	last := res.History[len(res.History)-1]
 	if last.Observed != len(res.Interfaces) {

@@ -18,9 +18,10 @@ import (
 // newline arrives, so a write that lands mid-record is never split.
 //
 // Malformed lines are counted (serve.follow.bad_lines) and skipped
-// rather than killing the tail; Apply failures are likewise counted
-// and the tail continues. Follow returns when ctx is done (always with
-// ctx's error) or on an unrecoverable file read error.
+// rather than killing the tail; a batch System.Apply rejects is counted
+// once, by the writer (serve.deltas.errors), and the tail continues.
+// Follow returns when ctx is done (always with ctx's error) or on an
+// unrecoverable file read error.
 func (s *Server) Follow(ctx context.Context, path string, poll time.Duration, maxBatch int) error {
 	if poll <= 0 {
 		poll = time.Second
@@ -46,11 +47,8 @@ func (s *Server) Follow(ctx context.Context, path string, poll time.Duration, ma
 		}
 		batch := pending
 		pending = nil
-		if _, err := s.enqueue(ctx, batch); err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			s.applyErrs.Inc()
+		if _, err := s.enqueue(ctx, batch); err != nil && ctx.Err() != nil {
+			return ctx.Err()
 		}
 		return nil
 	}

@@ -80,8 +80,8 @@ type Options struct {
 	// snapshot, the cold-path cfsbench -serve measures).
 	CacheEntries int
 	// Obs receives request counts, latency histograms, cache hit/miss
-	// counters, the writer's apply-time histograms and queue depth, and
-	// the published epoch gauge. Nil disables.
+	// counters, the writer's apply-time histograms, queue depth and
+	// freshness lag, and the published epoch gauge. Nil disables.
 	Obs *obs.Obs
 	// Now is the injected clock for latency measurement; nil means
 	// wall time. Tests inject a fake so latency math is deterministic.
@@ -136,10 +136,12 @@ type Server struct {
 	epochGauge  *obs.Gauge
 
 	// Writer-side metrics: System.Apply wall time per batch class (see
-	// delta.Surgical) and the batches waiting for the writer.
+	// delta.Surgical), the batches waiting for the writer, and the
+	// freshness lag from a batch's acceptance to its published epoch.
 	applySurgical *obs.Histogram
 	applyReingest *obs.Histogram
 	queueDepth    *obs.Gauge
+	lag           *obs.Histogram
 }
 
 type epochHdrEntry struct {
@@ -204,6 +206,7 @@ func New(sys *facilitymap.System, opt Options) *Server {
 	s.applySurgical = o.Histogram("serve.apply.duration.surgical")
 	s.applyReingest = o.Histogram("serve.apply.duration.reingest")
 	s.queueDepth = o.Gauge("serve.writer.queue_depth")
+	s.lag = o.Histogram("serve.writer.lag")
 
 	s.hInterface = s.route("interface", s.handleInterface)
 	s.hIxn = s.route("interconnections", s.handleInterconnections)
@@ -704,10 +707,13 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.epochHeader(m.Epoch()), body)
 }
 
-// applyReq is one batch waiting for the writer goroutine.
+// applyReq is one batch waiting for the writer goroutine. accepted is
+// the injected clock's reading when enqueue took the batch, the start
+// of its freshness lag.
 type applyReq struct {
-	log  []delta.Delta
-	resp chan applyResult
+	log      []delta.Delta
+	accepted time.Time
+	resp     chan applyResult
 }
 
 type applyResult struct {
@@ -719,7 +725,7 @@ type applyResult struct {
 // snapshot. It fails fast when the writer has exited and gives up when
 // the request context does.
 func (s *Server) enqueue(ctx context.Context, log []delta.Delta) (*facilitymap.Mapping, error) {
-	req := applyReq{log: log, resp: make(chan applyResult, 1)}
+	req := applyReq{log: log, accepted: s.now(), resp: make(chan applyResult, 1)}
 	// The depth counts a batch from here until the writer takes it, so
 	// a sender blocked on a full queue counts as waiting too.
 	s.queueDepth.Add(1)
@@ -767,15 +773,18 @@ func (s *Server) apply(req applyReq) {
 	s.queueDepth.Add(-1)
 	start := s.now()
 	m, err := s.sys.Apply(req.log)
-	took := s.now().Sub(start)
+	// Apply returns after the atomic publish, so this one reading ends
+	// both the apply time and the batch's freshness lag.
+	published := s.now()
 	if err != nil {
 		s.applyErrs.Inc()
 	} else {
 		if delta.Surgical(req.log) {
-			s.applySurgical.Observe(took)
+			s.applySurgical.Observe(published.Sub(start))
 		} else {
-			s.applyReingest.Observe(took)
+			s.applyReingest.Observe(published.Sub(start))
 		}
+		s.lag.Observe(published.Sub(req.accepted))
 		s.applied.Add(int64(len(req.log)))
 		s.epochGauge.Set(int64(m.Epoch()))
 		if s.cache != nil {

@@ -87,6 +87,15 @@ func mixedChurn(t *testing.T, sys *facilitymap.System, n, seed int) []delta.Delt
 	return log
 }
 
+// unknownFacility is a facility-list delta naming a facility outside
+// sys's registry: System.Apply rejects any batch that holds it.
+func unknownFacility(sys *facilitymap.System) delta.Delta {
+	return delta.Delta{
+		Kind: delta.ASFacilityAdd, AS: sys.Current().Result().Links[0].NearAS,
+		Facility: world.FacilityID(len(sys.Env.W.Facilities) + 1000),
+	}
+}
+
 // sampleQueries extracts representative query targets from a snapshot:
 // interface addresses and AS pairs that actually exist.
 func sampleQueries(m *facilitymap.Mapping, nIPs, nPairs int) (ips []string, pairs [][2]int) {
@@ -863,7 +872,9 @@ func TestConcurrentEpochConsistency(t *testing.T) {
 
 // TestFollowTail drives the file-tail ingestion path: batches appended
 // to a JSONL log land as epochs, partial lines are held until their
-// newline arrives, and malformed lines are skipped and counted.
+// newline arrives, malformed lines are skipped and counted, and a batch
+// System.Apply rejects is counted once — by the writer, as for a POST —
+// without stopping the tail.
 func TestFollowTail(t *testing.T) {
 	sys := smallSystem(t)
 	sys.MapInterconnections()
@@ -918,6 +929,22 @@ func TestFollowTail(t *testing.T) {
 	waitEpoch(before + 2)
 	if s.followBad.Value() != bad+1 {
 		t.Fatalf("bad-line counter %d, want %d", s.followBad.Value(), bad+1)
+	}
+
+	buf.Reset()
+	if err := delta.EncodeJSONL(&buf, []delta.Delta{unknownFacility(sys)}); err != nil {
+		t.Fatal(err)
+	}
+	appendFile(t, path, buf.Bytes())
+	for deadline := time.Now().Add(10 * time.Second); s.applyErrs.Value() == 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("rejected followed batch never counted")
+		}
+	}
+	appendFile(t, path, []byte(`{"kind":"session_down","peer_ip":"10.9.9.8","peer_as":64999}`+"\n"))
+	waitEpoch(before + 3)
+	if got := s.applyErrs.Value(); got != 1 {
+		t.Fatalf("serve.deltas.errors = %d after one rejected followed batch, want 1", got)
 	}
 
 	cancel()
@@ -1008,24 +1035,43 @@ func appendFile(t *testing.T, path string, b []byte) {
 
 // TestDeltasRejectUnknownFacility: a batch naming a facility outside
 // the registry is a client error. It answers 400, consumes no epoch,
-// and the snapshot readers see keeps its X-CFS-Epoch.
+// leaves the cache as it was — a query warmed before the batch is
+// still a hit with the same bytes — and the snapshot readers see keeps
+// its X-CFS-Epoch.
 func TestDeltasRejectUnknownFacility(t *testing.T) {
 	sys := smallSystem(t)
 	m0 := sys.MapInterconnections()
 	s := startServer(t, sys, Options{})
 	h := s.Handler()
 
-	log := mixedChurn(t, sys, 10, 3)
-	log = append(log, delta.Delta{
-		Kind: delta.ASFacilityAdd, AS: m0.Result().Links[0].NearAS,
-		Facility: world.FacilityID(len(sys.Env.W.Facilities) + 1000),
-	})
+	ips, _ := sampleQueries(m0, 1, 0)
+	warm := get(h, "/v1/interface/"+ips[0])
+	if warm.Code != http.StatusOK {
+		t.Fatalf("warming query: status %d: %s", warm.Code, warm.Body)
+	}
+	entries := s.cache.len()
+
+	log := append(mixedChurn(t, sys, 10, 3), unknownFacility(sys))
 	rec := postDeltas(t, h, log)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("POST with an unknown facility: status %d, want 400: %s", rec.Code, rec.Body)
 	}
 	if cur := sys.Current(); cur != m0 {
 		t.Fatalf("rejected batch published epoch %d", cur.Epoch())
+	}
+	if got := s.cache.len(); got != entries {
+		t.Fatalf("cache holds %d entries after the rejected batch, want %d", got, entries)
+	}
+	hits := s.hits.Value()
+	again := get(h, "/v1/interface/"+ips[0])
+	if got := s.hits.Value(); got != hits+1 {
+		t.Fatalf("serve.cache.hits moved %d -> %d on the repeated query, want one hit", hits, got)
+	}
+	if !bytes.Equal(again.Body.Bytes(), warm.Body.Bytes()) {
+		t.Fatalf("repeated query body changed:\n  before: %s\n  after:  %s", warm.Body, again.Body)
+	}
+	if got := again.Header().Get("X-CFS-Epoch"); got != "0" {
+		t.Fatalf("repeated query X-CFS-Epoch %q, want 0", got)
 	}
 	if got := get(h, "/v1/snapshot").Header().Get("X-CFS-Epoch"); got != "0" {
 		t.Fatalf("X-CFS-Epoch %q after a rejected batch, want 0", got)
@@ -1049,7 +1095,8 @@ func TestDeltasRejectUnknownFacility(t *testing.T) {
 // an injected clock that advances one step per reading, and batches
 // posted one at a time so nothing else reads the clock during an
 // Apply, every Apply takes exactly one step and lands in the histogram
-// of its batch class.
+// of its batch class, and every batch's freshness lag — acceptance,
+// Apply start, publish — takes exactly two.
 func TestWriterMetrics(t *testing.T) {
 	sys := smallSystem(t)
 	sys.MapInterconnections()
@@ -1107,9 +1154,16 @@ func TestWriterMetrics(t *testing.T) {
 	}
 
 	surg, rein := o.Histogram("serve.apply.duration.surgical"), o.Histogram("serve.apply.duration.reingest")
-	s0, r0 := surg.Stats(), rein.Stats()
+	lag := o.Histogram("serve.writer.lag")
+	s0, r0, l0 := surg.Stats(), rein.Stats(), lag.Stats()
 	if s0.Count != 2 || r0.Count != 1 {
 		t.Fatalf("queued batches observed %d surgical, %d reingest; want 2, 1", s0.Count, r0.Count)
+	}
+	// A queued batch's lag includes the writer's work on the batches
+	// ahead of it, interleaved with other goroutines' readings, so only
+	// the count is exact here.
+	if l0.Count != 3 {
+		t.Fatalf("queued batches observed %d lags, want 3", l0.Count)
 	}
 	for _, log := range batches {
 		if rec := postDeltas(t, h, log); rec.Code != http.StatusOK {
@@ -1124,9 +1178,22 @@ func TestWriterMetrics(t *testing.T) {
 		t.Errorf("reingest applies: %d more observations summing %v, want 1 summing %v",
 			r1.Count-r0.Count, r1.Sum-r0.Sum, step)
 	}
+	if l1 := lag.Stats(); l1.Count-l0.Count != 3 || l1.Sum-l0.Sum != 3*2*step {
+		t.Errorf("freshness lag: %d more observations summing %v, want 3 summing %v",
+			l1.Count-l0.Count, l1.Sum-l0.Sum, 3*2*step)
+	}
+
+	// A rejected batch publishes nothing, so it records no lag.
+	l1 := lag.Stats()
+	if rec := postDeltas(t, h, []delta.Delta{unknownFacility(sys)}); rec.Code != http.StatusBadRequest {
+		t.Fatalf("POST with an unknown facility: status %d, want 400", rec.Code)
+	}
+	if l2 := lag.Stats(); l2.Count != l1.Count {
+		t.Errorf("rejected batch recorded a freshness lag (%d -> %d observations)", l1.Count, l2.Count)
+	}
 
 	body := get(h, "/metrics").Body.Bytes()
-	for _, name := range []string{"serve.apply.duration.surgical", "serve.apply.duration.reingest", "serve.writer.queue_depth"} {
+	for _, name := range []string{"serve.apply.duration.surgical", "serve.apply.duration.reingest", "serve.writer.queue_depth", "serve.writer.lag"} {
 		if !bytes.Contains(body, []byte(`"`+name+`"`)) {
 			t.Errorf("/metrics lacks %s", name)
 		}

@@ -118,9 +118,9 @@ func PaperScale() Config {
 }
 
 // Large returns an internet-scale world: tens of thousands of ASes,
-// hundreds of metros and on the order of a million interfaces. It is the
-// profile the sharded CFS engine exists for; generation takes tens of
-// seconds and convergence should run with Config.Shards > 1.
+// hundreds of metros and on the order of a million interfaces.
+// Generation takes tens of seconds, and a convergence run needs a tight
+// iteration and follow-up budget to finish in minutes.
 func Large() Config {
 	return Config{
 		Seed:            9,

@@ -3,7 +3,7 @@ package world
 import "testing"
 
 // TestLargeProfileSmoke generates the internet-scale profile and checks
-// the generator invariants the sharded engine depends on: population
+// the generator invariants a Large-world CFS run depends on: population
 // floors (tens of thousands of ASes, hundreds of metros, order of a
 // million interfaces), no orphan members, unique addressing, and
 // well-formed routers. Generation takes ~10s, so -short skips it; the
