@@ -4,10 +4,10 @@
 // epoch argument actually names the snapshot the payload was rendered
 // from. Two rules on the PR 10 flow substrate:
 //
-//  1. Provenance: the epoch argument of epochCache.get / put / render
-//     / advance must be data-flow-derived from a Mapping.Epoch() call
-//     or arrive as an opaque incoming value (parameter, field read,
-//     element read, receive — provenance then belongs to the caller).
+//  1. Provenance: the epoch argument of epochCache.get / put / advance
+//     must be data-flow-derived from a Mapping.Epoch() call or arrive
+//     as an opaque incoming value (parameter, field read, element read,
+//     receive — provenance then belongs to the caller).
 //     A literal, arithmetic constant or unrelated call as the epoch
 //     invents a version number no snapshot carries: the entry either
 //     never hits or, worse, resurrects under a future real epoch.
@@ -27,12 +27,12 @@ import (
 
 // epochMethods are the epochCache entry points whose first argument is
 // the epoch the provenance rule checks.
-var epochMethods = map[string]bool{"get": true, "put": true, "render": true, "advance": true}
+var epochMethods = map[string]bool{"get": true, "put": true, "advance": true}
 
 // Analyzer is the epochkey pass.
 var Analyzer = &framework.Analyzer{
 	Name: "epochkey",
-	Doc: "epochCache get/put/render/advance must key on an epoch derived from " +
+	Doc: "epochCache get/put/advance must key on an epoch derived from " +
 		"Mapping.Epoch() (or an opaque incoming value), and writer-side advance " +
 		"must follow the System.Apply swap",
 	Packages: []string{"internal/serve"},
@@ -53,7 +53,7 @@ func run(pass *framework.Pass) error {
 }
 
 func checkFunc(pass *framework.Pass, fn *ast.FuncDecl) {
-	var cacheCalls []*ast.CallExpr // epochCache.{get,put,render,advance}
+	var cacheCalls []*ast.CallExpr // epochCache.{get,put,advance}
 	var advances []*ast.CallExpr
 	var applies []*ast.CallExpr
 	ast.Inspect(fn, func(n ast.Node) bool {

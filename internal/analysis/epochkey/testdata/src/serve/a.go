@@ -1,6 +1,6 @@
 // Package serve is epochkey's fixture; its base name matches the real
 // internal/serve. The stubs mirror the shapes the pass matches on: an
-// epochCache with get/put/render/advance, a System whose Apply
+// epochCache with get/put/advance, a System whose Apply
 // publishes, and a Mapping carrying the Epoch stamp.
 package serve
 
@@ -22,17 +22,14 @@ type cacheKey struct{ arg string }
 
 type cachedResponse struct{ body []byte }
 
-// epochCache is the cache stub with the four checked entry points.
+// epochCache is the cache stub with the three checked entry points.
 type epochCache struct{ epoch int }
 
 func (c *epochCache) get(epoch int, key cacheKey) (cachedResponse, bool) {
 	return cachedResponse{}, epoch == c.epoch
 }
 func (c *epochCache) put(epoch int, key cacheKey, r cachedResponse) { c.epoch = epoch }
-func (c *epochCache) render(epoch int, key cacheKey, fn func() cachedResponse) cachedResponse {
-	return fn()
-}
-func (c *epochCache) advance(epoch int) { c.epoch = epoch }
+func (c *epochCache) advance(epoch int)                             { c.epoch = epoch }
 
 // Clean: the epoch keys derive from the rendered snapshot's own stamp.
 func cachedQuery(s *System, c *epochCache, key cacheKey) {

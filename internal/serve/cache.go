@@ -29,216 +29,105 @@ const (
 	routeBatch
 )
 
-// cacheShards is the lock-stripe count. Requests hash across shards by
-// key, so concurrent readers on different keys contend on different
-// mutexes; 16 stripes keeps the worst case (every core hammering the
-// cache) spread while the per-shard maps stay big enough to matter.
-const cacheShards = 16
+// cacheBudget bounds the bytes one epoch's entries hold, each entry
+// charged len(key.arg)+len(body). The entry bound alone is not a memory
+// cap: a batch is keyed by its raw body, up to maxBatchBody, so
+// DefaultCacheEntries padded batches would pin gigabytes until the next
+// swap.
+const cacheBudget = 64 << 20
 
-// epochCache is the query cache keyed by (epoch, request key),
-// lock-striped over cacheShards shards. The invariant the daemon's
-// consistency test pins is unchanged from the single-lock version: an
-// entry never outlives the epoch it was rendered from. Each shard
-// tracks the current epoch independently; a lookup against any other
-// epoch misses, and the first store from a newer epoch drops that
-// shard's map — wholesale invalidation on snapshot swap (advance walks
-// every shard at the swap itself), never entry-by-entry decay.
+// epochCache is the query cache keyed by (epoch, request key). The
+// invariant the daemon's consistency test pins: an entry never outlives
+// the epoch it was rendered from. The cache holds one epoch at a time; a
+// lookup against any other epoch misses, and the first store from a
+// newer epoch — or the writer's advance at the swap — drops every entry:
+// wholesale invalidation, never entry-by-entry decay.
 //
 // Stores are also monotonic: a late writer that rendered its response
 // from an already superseded snapshot (it loaded Current just before an
 // Apply landed) is silently dropped rather than resurrecting stale
 // bytes under the new epoch.
-//
-// Cold misses dedup through a per-shard singleflight table: the first
-// miss for a key becomes the render leader, concurrent misses for the
-// same (epoch, key) wait on its result instead of rendering again.
 type epochCache struct {
-	perShard int // entry bound per shard (total bound / cacheShards)
-	shards   [cacheShards]cacheShard
-}
+	max int // entry bound
 
-type cacheShard struct {
 	mu      sync.RWMutex
 	epoch   int
+	bytes   int // len(key.arg)+len(body), summed over entries
 	entries map[cacheKey]cachedResponse
-	flight  map[cacheKey]*flightCall
-}
-
-// flightCall is one in-progress render: waiters block on done, then
-// read res/ok (written before the close, so the channel close is the
-// happens-before edge).
-type flightCall struct {
-	done  chan struct{}
-	epoch int
-	res   cachedResponse
-	ok    bool // false when the leader panicked before delivering
 }
 
 func newEpochCache(max int) *epochCache {
-	per := (max + cacheShards - 1) / cacheShards
-	if per < 1 {
-		per = 1
-	}
-	c := &epochCache{perShard: per}
-	for i := range c.shards {
-		c.shards[i].epoch = -1 // before any store; real epochs start at 0
-		c.shards[i].entries = make(map[cacheKey]cachedResponse)
-		c.shards[i].flight = make(map[cacheKey]*flightCall)
-	}
-	return c
-}
-
-// shardOf picks the stripe for a key: FNV-1a over the route tag and
-// the argument bytes.
-//
-//cfslint:hotpath
-func (c *epochCache) shardOf(key cacheKey) *cacheShard {
-	h := uint32(2166136261)
-	h = (h ^ uint32(key.route)) * 16777619
-	for i := 0; i < len(key.arg); i++ {
-		h = (h ^ uint32(key.arg[i])) * 16777619
-	}
-	return &c.shards[h%cacheShards]
+	// Epoch -1 is before any store; real epochs start at 0.
+	return &epochCache{max: max, epoch: -1, entries: make(map[cacheKey]cachedResponse)}
 }
 
 // get returns the cached response for key rendered at epoch, if any.
 //
 //cfslint:hotpath
 func (c *epochCache) get(epoch int, key cacheKey) (cachedResponse, bool) {
-	sh := c.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if epoch != sh.epoch {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if epoch != c.epoch {
 		return cachedResponse{}, false
 	}
-	r, ok := sh.entries[key]
+	r, ok := c.entries[key]
 	return r, ok
 }
 
 // put stores a response rendered from the snapshot at epoch. A stale
-// epoch is dropped; a newer epoch resets the shard first. It reports
-// whether the store was refused because the shard was full (the bound
-// is a memory cap, not an LRU — a fresh epoch empties it anyway); the
-// caller surfaces that as serve.cache.full_drops.
+// epoch is dropped; a newer epoch empties the cache first. It reports
+// whether the store was refused because the entry bound or the byte
+// budget is reached (a memory cap, not an LRU — a fresh epoch empties
+// the cache anyway); the caller surfaces that as serve.cache.full_drops.
 //
 //cfslint:hotpath
 func (c *epochCache) put(epoch int, key cacheKey, r cachedResponse) (fullDrop bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.storeLocked(c.perShard, epoch, key, r)
-}
-
-//cfslint:hotpath
-func (sh *cacheShard) storeLocked(perShard, epoch int, key cacheKey, r cachedResponse) (fullDrop bool) {
-	if epoch < sh.epoch {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if epoch < c.epoch {
 		return false
 	}
-	if epoch > sh.epoch {
-		sh.epoch = epoch
-		//cfslint:ignore hotalloc epoch-swap branch only: runs once per shard per published snapshot, not per request
-		sh.entries = make(map[cacheKey]cachedResponse)
-	}
-	if _, exists := sh.entries[key]; !exists && len(sh.entries) >= perShard {
+	c.advanceLocked(epoch)
+	n := len(key.arg) + len(r.body)
+	old, resident := c.entries[key]
+	if resident {
+		n -= len(key.arg) + len(old.body)
+	} else if len(c.entries) >= c.max {
 		return true
 	}
-	sh.entries[key] = r
+	if c.bytes+n > cacheBudget {
+		return true
+	}
+	c.entries[key] = r
+	c.bytes += n
 	return false
 }
 
-// renderOutcome says how a render call resolved, for the cache
-// counters: the caller led the render, waited on another goroutine's
-// identical render, or led and had its store refused by the capacity
-// bound.
-type renderOutcome uint8
-
-const (
-	renderLed renderOutcome = iota
-	renderDeduped
-	renderFullDrop
-)
-
-// render resolves a cache miss with singleflight semantics: the first
-// caller for (epoch, key) runs fn and stores the result; concurrent
-// callers for the same epoch and key block until the leader finishes
-// and share its response without rendering. A waiter whose epoch does
-// not match the in-flight render (a snapshot swap landed in between)
-// renders independently — correctness over dedup at the boundary.
-func (c *epochCache) render(epoch int, key cacheKey, fn func() cachedResponse) (cachedResponse, renderOutcome) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	if fc, ok := sh.flight[key]; ok {
-		sh.mu.Unlock()
-		if fc.epoch == epoch {
-			<-fc.done
-			if fc.ok {
-				return fc.res, renderDeduped
-			}
-		}
-		// Epoch mismatch (or a panicked leader): render independently.
-		res := fn()
-		sh.mu.Lock()
-		full := sh.storeLocked(c.perShard, epoch, key, res)
-		sh.mu.Unlock()
-		return res, outcome(full)
-	}
-	fc := &flightCall{done: make(chan struct{}), epoch: epoch}
-	sh.flight[key] = fc
-	sh.mu.Unlock()
-
-	var res cachedResponse
-	var full, delivered bool
-	defer func() {
-		// Runs even if fn panics: waiters must never block forever on a
-		// flight whose leader died. ok stays false on the panic path.
-		sh.mu.Lock()
-		delete(sh.flight, key)
-		sh.mu.Unlock()
-		fc.res = res
-		fc.ok = delivered
-		close(fc.done)
-	}()
-	res = fn()
-	delivered = true
-	sh.mu.Lock()
-	full = sh.storeLocked(c.perShard, epoch, key, res)
-	sh.mu.Unlock()
-	return res, outcome(full)
-}
-
-func outcome(fullDrop bool) renderOutcome {
-	if fullDrop {
-		return renderFullDrop
-	}
-	return renderLed
-}
-
-// advance moves every shard to epoch, clearing those it is new for.
+// advance moves the cache to epoch, emptying it when epoch is newer.
 // The writer loop calls this right after publishing a snapshot so stale
 // entries vanish at the swap, not lazily at the next store.
-//
-//cfslint:hotpath
 func (c *epochCache) advance(epoch int) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		if epoch > sh.epoch {
-			sh.epoch = epoch
-			//cfslint:ignore hotalloc epoch-swap reset: one map per shard per published snapshot, off the request path
-			sh.entries = make(map[cacheKey]cachedResponse)
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.advanceLocked(epoch)
+}
+
+// advanceLocked is advance for a caller holding mu; it allocates once
+// per published epoch, never per request. It swaps in a fresh map
+// rather than clearing the old one: clear walks every slot, with a
+// write barrier per pointer while the collector runs (about 90 µs at
+// 2.6k entries, milliseconds at worst), and the first miss of a new
+// epoch — the request that makes the epoch visible — would wait for it.
+func (c *epochCache) advanceLocked(epoch int) {
+	if epoch > c.epoch {
+		c.epoch, c.bytes = epoch, 0
+		c.entries = make(map[cacheKey]cachedResponse)
 	}
 }
 
-// len reports the current entry count across shards (test hook).
+// len reports the current entry count (test hook).
 func (c *epochCache) len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	return n
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.entries)
 }

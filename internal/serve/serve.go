@@ -16,11 +16,10 @@
 // write: every snapshot System.Apply publishes already carries its
 // serving tables (described records, pre-rendered JSON, the AS-pair
 // index), so a cold query is table reads and byte appends — never a
-// snapshot-wide build — and a hot query touches one cache shard under
-// a striped RWMutex. Concurrent cold misses for one key dedup through a
-// singleflight table and render once. Batched (POST /v1/interfaces:batch)
-// and streaming (GET /v1/interfaces/stream) shapes amortize per-request
-// overhead for bulk consumers.
+// snapshot-wide build — and a hot query is one map read under the
+// cache's RWMutex. Batched (POST /v1/interfaces:batch) and streaming
+// (GET /v1/interfaces/stream) shapes amortize per-request overhead for
+// bulk consumers.
 //
 // Writes are serialized through one goroutine (Run): POST /v1/deltas
 // and the follow-tailer both enqueue batches and wait, so the System
@@ -37,7 +36,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -124,16 +122,15 @@ type Server struct {
 	done     chan struct{} // closed when Run returns
 	inflight chan struct{}
 
-	routes      map[string]routeObs
-	hits        *obs.Counter
-	misses      *obs.Counter
-	fullDrops   *obs.Counter
-	flightDedup *obs.Counter
-	rejected    *obs.Counter
-	applied     *obs.Counter
-	applyErrs   *obs.Counter
-	followBad   *obs.Counter
-	epochGauge  *obs.Gauge
+	routes     map[string]routeObs
+	hits       *obs.Counter
+	misses     *obs.Counter
+	fullDrops  *obs.Counter
+	rejected   *obs.Counter
+	applied    *obs.Counter
+	applyErrs  *obs.Counter
+	followBad  *obs.Counter
+	epochGauge *obs.Gauge
 
 	// Writer-side metrics: System.Apply wall time per batch class (see
 	// delta.Surgical), the batches waiting for the writer, and the
@@ -197,7 +194,6 @@ func New(sys *facilitymap.System, opt Options) *Server {
 	s.hits = o.Counter("serve.cache.hits")
 	s.misses = o.Counter("serve.cache.misses")
 	s.fullDrops = o.Counter("serve.cache.full_drops")
-	s.flightDedup = o.Counter("serve.cache.flight_dedup")
 	s.rejected = o.Counter("serve.http.rejected")
 	s.applied = o.Counter("serve.deltas.applied")
 	s.applyErrs = o.Counter("serve.deltas.errors")
@@ -334,11 +330,10 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 
 // cached runs one epoch-cached query: load the current snapshot once,
 // serve from cache when the rendered response for (epoch, route, arg)
-// exists, otherwise render from that same snapshot — deduping
-// concurrent identical renders through the cache's singleflight — and
-// store it. The whole response derives from a single immutable Mapping,
-// so it is consistent with exactly one epoch even when Apply swaps
-// snapshots mid-request.
+// exists, otherwise render from that same snapshot and store it. The
+// whole response derives from a single immutable Mapping, so it is
+// consistent with exactly one epoch even when Apply swaps snapshots
+// mid-request.
 //
 //cfslint:hotpath
 func (s *Server) cached(ro routeObs, w http.ResponseWriter, route uint8, arg string,
@@ -350,40 +345,24 @@ func (s *Server) cached(ro routeObs, w http.ResponseWriter, route uint8, arg str
 		return
 	}
 	epoch := m.Epoch()
-	hdr := s.epochHeader(epoch)
-	if s.cache == nil {
-		status, body := render(m)
-		if status != http.StatusOK {
-			ro.errors.Inc()
-		}
-		writeJSON(w, status, hdr, body)
-		return
-	}
 	key := cacheKey{route: route, arg: arg}
-	if r, ok := s.cache.get(epoch, key); ok {
+	var r cachedResponse
+	if s.cache == nil {
+		r.status, r.body = render(m)
+	} else if hit, ok := s.cache.get(epoch, key); ok {
 		s.hits.Inc()
-		if r.status != http.StatusOK {
-			ro.errors.Inc()
+		r = hit
+	} else {
+		s.misses.Inc()
+		r.status, r.body = render(m)
+		if s.cache.put(epoch, key, r) {
+			s.fullDrops.Inc()
 		}
-		writeJSON(w, r.status, hdr, r.body)
-		return
-	}
-	s.misses.Inc()
-	//cfslint:ignore hotalloc miss-path only: the singleflight closure must capture the pinned snapshot so every deduped waiter shares one epoch-consistent render
-	r, out := s.cache.render(epoch, key, func() cachedResponse {
-		status, body := render(m)
-		return cachedResponse{status: status, body: body}
-	})
-	switch out {
-	case renderDeduped:
-		s.flightDedup.Inc()
-	case renderFullDrop:
-		s.fullDrops.Inc()
 	}
 	if r.status != http.StatusOK {
 		ro.errors.Inc()
 	}
-	writeJSON(w, r.status, hdr, r.body)
+	writeJSON(w, r.status, s.epochHeader(epoch), r.body)
 }
 
 // wrapEpochField assembles `{"epoch":N,"<field>":<rec>}` around a
@@ -605,18 +584,9 @@ func renderBatch(m *facilitymap.Mapping, ips []string) (int, []byte) {
 	return http.StatusOK, b
 }
 
-// streamBufPool recycles the stream endpoint's write buffers so a dump
-// costs O(1) buffer allocations regardless of snapshot size.
-var streamBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 64<<10)
-		return &b
-	},
-}
-
 // handleStream answers GET /v1/interfaces/stream: every inference in
 // the snapshot's listing order as NDJSON, one pre-rendered record per
-// line, written through a pooled buffer. The whole dump derives from
+// line, written through a 64 KiB buffer. The whole dump derives from
 // one snapshot load and carries its epoch in X-CFS-Epoch.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	ro := s.routes["stream"]
@@ -631,8 +601,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	h["X-Cfs-Epoch"] = s.epochHeader(m.Epoch())
 	w.WriteHeader(http.StatusOK)
 
-	bp := streamBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
+	buf := make([]byte, 0, 64<<10)
 	failed := false
 	m.EachInterfaceJSON(func(rec []byte) bool {
 		if len(buf) > 0 && len(buf)+len(rec)+1 > cap(buf) {
@@ -651,8 +620,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			failed = true
 		}
 	}
-	*bp = buf[:0]
-	streamBufPool.Put(bp)
 	if failed {
 		ro.errors.Inc()
 	}

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,27 +134,13 @@ func sampleQueries(m *facilitymap.Mapping, nIPs, nPairs int) (ips []string, pair
 	return ips, pairs
 }
 
-// sameShardKeys returns n distinct keys that all hash to one stripe of
-// c, so capacity tests exercise a single shard's bound deterministically.
-func sameShardKeys(c *epochCache, n int) []cacheKey {
-	keys := []cacheKey{{route: routeInterface, arg: "k0"}}
-	want := c.shardOf(keys[0])
-	for i := 1; len(keys) < n; i++ {
-		k := cacheKey{route: routeInterface, arg: fmt.Sprintf("k%d", i)}
-		if c.shardOf(k) == want {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
 // TestEpochCache pins the cache invariants directly: same-epoch hits,
 // cross-epoch misses, wholesale reset on advance, stale puts dropped,
-// and the per-shard entry bound (with the refusal reported so the
-// server can count it as a full drop).
+// and the entry bound (with the refusal reported so the server can
+// count it as a full drop).
 func TestEpochCache(t *testing.T) {
-	c := newEpochCache(2 * cacheShards) // two entries per shard
-	keys := sameShardKeys(c, 3)
+	c := newEpochCache(2)
+	keys := []cacheKey{{routeInterface, "k0"}, {routeInterface, "k1"}, {routeInterface, "k2"}}
 	r1 := cachedResponse{status: 200, body: []byte("one")}
 	if full := c.put(0, keys[0], r1); full {
 		t.Fatal("first put reported a full drop")
@@ -165,7 +152,7 @@ func TestEpochCache(t *testing.T) {
 		t.Fatal("entry visible under a different epoch")
 	}
 
-	// Bound: a third distinct key on a full shard is refused, and the
+	// Bound: a third distinct key on a full cache is refused, and the
 	// refusal is reported. Overwriting an existing key still works.
 	c.put(0, keys[1], r1)
 	if full := c.put(0, keys[2], r1); !full {
@@ -206,62 +193,51 @@ func TestEpochCache(t *testing.T) {
 	}
 }
 
-// TestEpochCacheSingleflight: concurrent cold misses for one (epoch,
-// key) render exactly once — waiters share the leader's response.
-func TestEpochCacheSingleflight(t *testing.T) {
-	c := newEpochCache(64)
-	key := cacheKey{route: routeSnapshot, arg: ""}
-	release := make(chan struct{})
-	var calls int32
+// cacheBytes reads the cache's byte account under its lock.
+func cacheBytes(c *epochCache) int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.bytes
+}
 
-	const waiters = 8
-	var started, wg sync.WaitGroup
-	led := make(chan renderOutcome, waiters)
-	started.Add(waiters)
-	wg.Add(waiters)
-	for i := 0; i < waiters; i++ {
-		go func() {
-			defer wg.Done()
-			started.Done()
-			res, out := c.render(7, key, func() cachedResponse {
-				atomic.AddInt32(&calls, 1)
-				<-release // hold the flight open until every goroutine has arrived
-				return cachedResponse{status: 200, body: []byte("rendered")}
-			})
-			if string(res.body) != "rendered" {
-				t.Errorf("waiter got %q", res.body)
-			}
-			led <- out
-		}()
-	}
-	started.Wait()
-	time.Sleep(10 * time.Millisecond) // let the stragglers reach render
-	close(release)
-	wg.Wait()
-
-	if calls != 1 {
-		t.Fatalf("render ran %d times, want 1", calls)
-	}
-	close(led)
-	var leaders, deduped int
-	for out := range led {
-		switch out {
-		case renderLed:
-			leaders++
-		case renderDeduped:
-			deduped++
+// TestEpochCacheByteBudget: the byte budget caps what one epoch holds
+// even when the entry bound would admit far more. Short keys sharing one
+// 1 MiB body are charged the body each time; stores that would cross
+// the budget are refused and reported, and the next epoch starts from
+// an empty account.
+func TestEpochCacheByteBudget(t *testing.T) {
+	c := newEpochCache(DefaultCacheEntries)
+	body := make([]byte, 1<<20)
+	var stored, refused, charged int
+	for i := 0; i < 200; i++ {
+		key := cacheKey{route: routeBatch, arg: fmt.Sprintf("k%03d", i)}
+		if c.put(0, key, cachedResponse{status: 200, body: body}) {
+			refused++
+			continue
 		}
+		stored++
+		charged += len(key.arg) + len(body)
 	}
-	if leaders != 1 || deduped != waiters-1 {
-		t.Fatalf("outcomes: %d leaders, %d deduped; want 1 and %d", leaders, deduped, waiters-1)
+	if refused == 0 {
+		t.Fatalf("all %d MiB-sized stores accepted: no byte budget", stored)
 	}
-	if _, ok := c.get(7, key); !ok {
-		t.Fatal("singleflight result not stored")
+	if got := cacheBytes(c); got != charged || got > cacheBudget {
+		t.Fatalf("cache accounts %d bytes for %d entries charged %d, budget %d", got, stored, charged, cacheBudget)
+	}
+	if want := cacheBudget / (len("k000") + len(body)); stored != want || c.len() != want {
+		t.Fatalf("stored %d (len %d) entries, want %d", stored, c.len(), want)
+	}
+	c.advance(1)
+	if got := cacheBytes(c); got != 0 {
+		t.Fatalf("advance left %d bytes accounted", got)
+	}
+	if c.put(1, cacheKey{route: routeBatch, arg: "k000"}, cachedResponse{status: 200, body: body}) {
+		t.Fatal("first store of a new epoch refused")
 	}
 }
 
-// TestEpochCacheConcurrent hammers get/put/render against a racing
-// advance under -race. The invariant: a hit at epoch e always returns
+// TestEpochCacheConcurrent hammers get/put against a racing advance
+// under -race. The invariant: a hit at epoch e always returns
 // bytes rendered for e — the body encodes its epoch, so any cross-epoch
 // leak is caught by content, not just by the race detector.
 func TestEpochCacheConcurrent(t *testing.T) {
@@ -291,13 +267,8 @@ func TestEpochCacheConcurrent(t *testing.T) {
 						return
 					}
 				}
-				switch i % 3 {
-				case 0:
+				if i%2 == 0 {
 					c.put(e, key, cachedResponse{status: 200, body: body(e, (g*7+i)%13)})
-				case 1:
-					c.render(e, key, func() cachedResponse {
-						return cachedResponse{status: 200, body: body(e, (g*7+i)%13)}
-					})
 				}
 			}
 		}(g)
@@ -420,8 +391,9 @@ func postBatch(h http.Handler, body string) *httptest.ResponseRecorder {
 
 // TestBatchEndpoint drives POST /v1/interfaces:batch: results arrive in
 // request order from one snapshot, per-address failures are inline (not
-// whole-batch errors), a repeat of the same batch is one cache hit, and
-// malformed or oversized bodies answer 400.
+// whole-batch errors), a repeat of the same batch is one cache hit,
+// malformed or oversized bodies answer 400, and a body padded to the
+// size limit still answers and is charged to the cache by its size.
 func TestBatchEndpoint(t *testing.T) {
 	sys := smallSystem(t)
 	m := sys.MapInterconnections()
@@ -483,6 +455,23 @@ func TestBatchEndpoint(t *testing.T) {
 	huge, _ := json.Marshal(make([]string, maxBatchIPs+1))
 	if rec = postBatch(h, string(huge)); rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized batch status %d, want 400", rec.Code)
+	}
+
+	one := `["` + ips[0] + `"]`
+	pad := strings.Repeat(" ", maxBatchBody-len(one))
+	before, charged := cacheBytes(s.cache), 0
+	for _, padded := range []string{pad + one, one + pad} {
+		rec = postBatch(h, padded)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("padded batch status %d: %s", rec.Code, rec.Body)
+		}
+		if r := decode[batchResponse](t, rec).Results; len(r) != 1 || !reflect.DeepEqual(r[0], got.Results[0]) {
+			t.Fatalf("padded batch results %+v, want [%+v]", r, got.Results[0])
+		}
+		charged += len(padded) + rec.Body.Len()
+	}
+	if got := cacheBytes(s.cache) - before; got != charged {
+		t.Fatalf("two padded batches charged %d cache bytes, want %d", got, charged)
 	}
 }
 
@@ -872,9 +861,10 @@ func TestConcurrentEpochConsistency(t *testing.T) {
 
 // TestFollowTail drives the file-tail ingestion path: batches appended
 // to a JSONL log land as epochs, partial lines are held until their
-// newline arrives, malformed lines are skipped and counted, and a batch
+// newline arrives, malformed lines are skipped and counted, a batch
 // System.Apply rejects is counted once — by the writer, as for a POST —
-// without stopping the tail.
+// without stopping the tail, and the tail survives the log being
+// truncated in place or renamed away and recreated.
 func TestFollowTail(t *testing.T) {
 	sys := smallSystem(t)
 	sys.MapInterconnections()
@@ -946,6 +936,39 @@ func TestFollowTail(t *testing.T) {
 	if got := s.applyErrs.Value(); got != 1 {
 		t.Fatalf("serve.deltas.errors = %d after one rejected followed batch, want 1", got)
 	}
+
+	// Truncated in place: the record written after the truncation
+	// applies. Each record below is shorter than the file it replaces,
+	// so the shrink is visible whichever poll sees it first.
+	truncate := func() {
+		t.Helper()
+		if err := os.Truncate(path, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	truncate()
+	appendFile(t, path, []byte(`{"kind":"session_down","peer_ip":"10.9.9.17","peer_as":64999}`+"\n"))
+	waitEpoch(before + 4)
+
+	// A partial line pending at the truncation is dropped, not glued
+	// onto the new first record.
+	appendFile(t, path, line[:cut])
+	time.Sleep(20 * time.Millisecond) // a few polls with the partial line pending
+	truncate()
+	appendFile(t, path, []byte(`{"kind":"session_down","peer_ip":"10.9.9.6","peer_as":64999}`+"\n"))
+	waitEpoch(before + 5)
+	if s.followBad.Value() != bad+1 {
+		t.Fatalf("bad-line counter %d after a truncation with a partial line pending, want %d", s.followBad.Value(), bad+1)
+	}
+
+	// Rotated: a record still landing in the renamed file applies, and
+	// so does the first record of the new file at path.
+	if err := os.Rename(path, path+".1"); err != nil {
+		t.Fatal(err)
+	}
+	appendFile(t, path+".1", []byte(`{"kind":"session_down","peer_ip":"10.9.9.5","peer_as":64999}`+"\n"))
+	appendFile(t, path, []byte(`{"kind":"session_down","peer_ip":"10.9.9.4","peer_as":64999}`+"\n"))
+	waitEpoch(before + 7)
 
 	cancel()
 	if err := <-followDone; err != context.Canceled {

@@ -14,8 +14,10 @@
 #      the epoch in the X-CFS-Epoch header
 #   7. worldgen -churn -out appends to the followed log; the tail
 #      applies it and the epoch advances again without any HTTP write
-#   8. /metrics accounts for the requests and cache traffic
-#   9. SIGTERM drains gracefully (exit code 0)
+#   8. the followed log is rotated (renamed away, a fresh one written
+#      at its path); the tail switches files and the epoch advances
+#   9. /metrics accounts for the requests and cache traffic
+#  10. SIGTERM drains gracefully (exit code 0)
 #
 # Needs curl and jq. Run from the repo root: make serve-smoke
 set -euo pipefail
@@ -126,7 +128,22 @@ done
 [ "$EPOCH" -ge 2 ] || fail "followed churn log never applied (epoch $EPOCH)"
 echo "serve-smoke: follow tail applied, epoch $EPOCH"
 
-# 6. Metrics accounted for the traffic.
+# 8. Rotation: rename the followed log away and write a fresh one at the
+# same path. The tail must switch to the new file: its 10 records bring
+# the applied total to 25 + 10 + 10.
+mv "$CHURN_LOG" "$CHURN_LOG.1"
+"$TMP/worldgen" -profile small -seed 8 -churn 10 -out "$CHURN_LOG"
+for _ in $(seq 1 50); do
+  APPLIED="$(curl -sf "$BASE/metrics" | jq '.counters["serve.deltas.applied"]')"
+  [ "$APPLIED" -ge 45 ] && break
+  sleep 0.2
+done
+[ "$APPLIED" -ge 45 ] || fail "rotated follow log never applied ($APPLIED records applied)"
+ROTATED="$(curl -sf "$BASE/v1/snapshot" | jq '.epoch')"
+[ "$ROTATED" -gt "$EPOCH" ] || fail "epoch $ROTATED did not advance past $EPOCH after rotation"
+echo "serve-smoke: rotated log applied, epoch $ROTATED"
+
+# 9. Metrics accounted for the traffic.
 curl -sf "$BASE/metrics" | jq -e '
   .counters["serve.http.requests.snapshot"] > 0
   and .counters["serve.http.requests.interface"] > 0
@@ -134,7 +151,7 @@ curl -sf "$BASE/metrics" | jq -e '
   and .counters["serve.deltas.applied"] >= 25
   and .gauges["serve.epoch"] >= 2' >/dev/null || fail "metrics do not account for the traffic"
 
-# 7. Graceful drain on SIGTERM.
+# 10. Graceful drain on SIGTERM.
 kill -TERM "$CFSD_PID"
 for _ in $(seq 1 50); do
   kill -0 "$CFSD_PID" 2>/dev/null || break
