@@ -30,10 +30,11 @@ build:
 test:
 	go test ./...
 
-# The CFS engine fans pure phases out over a worker pool; run its tests
-# (and the trace simulator's) under the race detector. internal/serve
-# rides along: its epoch-consistency test races concurrent queries
-# against live Apply batches.
+# Run the CFS engine's and the trace simulator's tests under the race
+# detector: both run on one goroutine, and the detector keeps them that
+# way while the daemon applies epochs on its writer goroutine.
+# internal/serve rides along: its epoch-consistency test races
+# concurrent queries against live Apply batches.
 race:
 	go test -race ./internal/cfs/... ./internal/trace/... ./internal/serve/...
 

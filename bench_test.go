@@ -9,7 +9,6 @@ package facilitymap
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"facilitymap/internal/alias"
 	"facilitymap/internal/bgp"
@@ -233,66 +232,15 @@ func BenchmarkCFSFullRun(b *testing.B) {
 	b.ReportMetric(float64(len(res.Interfaces)), "interfaces")
 }
 
-// ---- parallel execution -----------------------------------------------------
-
-// benchCFSWorkers runs the full default-world pipeline with a fixed
-// worker count. Every count produces the identical result (see
-// internal/cfs TestParallelMatchesSerial); the benches measure only the
-// wall-clock effect of fanning the pure phases out.
-func benchCFSWorkers(b *testing.B, workers int) {
-	e := benchEnv()
-	cfg := cfs.DefaultConfig()
-	cfg.Workers = workers
-	var res *cfs.Result
-	for i := 0; i < b.N; i++ {
-		res = e.RunCFS(cfg)
-	}
-	b.ReportMetric(100*res.ResolvedFraction(), "resolved_pct")
-}
-
-func BenchmarkCFSParallelWorkers1(b *testing.B)   { benchCFSWorkers(b, 1) }
-func BenchmarkCFSParallelWorkers2(b *testing.B)   { benchCFSWorkers(b, 2) }
-func BenchmarkCFSParallelWorkers4(b *testing.B)   { benchCFSWorkers(b, 4) }
-func BenchmarkCFSParallelWorkersMax(b *testing.B) { benchCFSWorkers(b, 0) }
-
-// BenchmarkCFSParallelSpeedup times a serial (Workers=1) and a
-// parallel (Workers=GOMAXPROCS) run back to back and reports the ratio
-// as speedup_x.
-func BenchmarkCFSParallelSpeedup(b *testing.B) {
-	e := benchEnv()
-	serial := cfs.DefaultConfig()
-	serial.MaxIterations = 10
-	serial.FollowUpBudget = 200
-	serial.AliasRounds = []int{1, 5}
-	parallel := serial
-	serial.Workers = 1
-	parallel.Workers = 0
-	var serialNS, parallelNS int64
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		e.RunCFS(serial)
-		t1 := time.Now()
-		e.RunCFS(parallel)
-		t2 := time.Now()
-		serialNS += t1.Sub(t0).Nanoseconds()
-		parallelNS += t2.Sub(t1).Nanoseconds()
-	}
-	if parallelNS > 0 {
-		b.ReportMetric(float64(serialNS)/float64(parallelNS), "speedup_x")
-	}
-}
-
 // ---- worklist engine --------------------------------------------------------
 
 // trimmedCFS is the trimmed default-world configuration the engine
-// benches share (mirrors BenchmarkCFSParallelSpeedup's operating
-// point).
-func trimmedCFS(workers int) cfs.Config {
+// benches share.
+func trimmedCFS() cfs.Config {
 	cfg := cfs.DefaultConfig()
 	cfg.MaxIterations = 10
 	cfg.FollowUpBudget = 200
 	cfg.AliasRounds = []int{1, 5}
-	cfg.Workers = workers
 	return cfg
 }
 
@@ -304,13 +252,14 @@ func sumWork(res *cfs.Result) (dirty, recomputed float64) {
 	return dirty, recomputed
 }
 
-// benchCFSWorklist runs the trimmed default-world pipeline and reports
-// the per-run work counters alongside the timing, so `go test -bench
-// CFSWorklist` shows the dirty-set work directly. The worklist-vs-rescan
-// ratio is internal/cfs's BenchmarkCFSWorklistSpeedup.
-func benchCFSWorklist(b *testing.B, workers int) {
+// BenchmarkCFSWorklist runs the trimmed default-world pipeline and
+// reports the per-run work counters alongside the timing, so `go test
+// -bench CFSWorklist` shows the dirty-set work directly. The
+// worklist-vs-rescan ratio is internal/cfs's
+// BenchmarkCFSWorklistSpeedup.
+func BenchmarkCFSWorklist(b *testing.B) {
 	e := benchEnv()
-	cfg := trimmedCFS(workers)
+	cfg := trimmedCFS()
 	var res *cfs.Result
 	for i := 0; i < b.N; i++ {
 		res = e.RunCFS(cfg)
@@ -321,12 +270,9 @@ func benchCFSWorklist(b *testing.B, workers int) {
 	b.ReportMetric(100*res.ResolvedFraction(), "resolved_pct")
 }
 
-func BenchmarkCFSWorklistWorkers1(b *testing.B)   { benchCFSWorklist(b, 1) }
-func BenchmarkCFSWorklistWorkersMax(b *testing.B) { benchCFSWorklist(b, 0) }
-
-// BenchmarkMergeParallel exercises the worker-pool incremental merge
-// over three runs of the small world.
-func BenchmarkMergeParallel(b *testing.B) {
+// BenchmarkMerge exercises the incremental merge over three runs of
+// the small world.
+func BenchmarkMerge(b *testing.B) {
 	e := benchSmallEnv()
 	results := []*cfs.Result{
 		e.RunCFS(fastCFS()), e.RunCFS(fastCFS()), e.RunCFS(fastCFS()),

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	cfsd [-addr :8080] [-profile small|medium|default|paper|large] [-seed N]
-//	     [-iterations N] [-workers N] [-follow churn.jsonl] [-poll 1s]
+//	     [-iterations N] [-follow churn.jsonl] [-poll 1s]
 //	     [-cache N] [-timeout 5s] [-inflight N]
 //
 // Endpoints:
@@ -58,12 +58,11 @@ func main() {
 		profile    = flag.String("profile", "small", "world profile: small, medium, default, paper or large")
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		iterations = flag.Int("iterations", 100, "CFS iteration cap")
-		workers    = flag.Int("workers", 0, "worker goroutines for the parallel search phases and snapshot table builds (0 = one per CPU)")
 		follow     = flag.String("follow", "", "tail this JSONL churn log (see worldgen -churn -out) and apply new records")
 		poll       = flag.Duration("poll", time.Second, "poll interval for -follow")
 		batch      = flag.Int("batch", 256, "max records per epoch when applying a -follow tail")
 		cacheSize  = flag.Int("cache", serve.DefaultCacheEntries, "epoch-cache entry bound (negative disables caching)")
-		timeout    = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request timeout")
+		timeout    = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request timeout; also the deadline for a request's headers")
 		inflight   = flag.Int("inflight", serve.DefaultMaxInFlight, "max concurrently executing requests (excess get 503)")
 		grace      = flag.Duration("grace", 10*time.Second, "shutdown grace for in-flight requests")
 	)
@@ -73,7 +72,6 @@ func main() {
 		Profile:       *profile,
 		Seed:          *seed,
 		MaxIterations: *iterations,
-		Workers:       *workers,
 	})
 	if err != nil {
 		fatal(err)
@@ -110,7 +108,7 @@ func main() {
 		}()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler(), *timeout)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "cfsd: serving on %s\n", *addr)
@@ -137,6 +135,14 @@ func main() {
 	if cur := sys.Current(); cur != nil {
 		fmt.Fprintf(os.Stderr, "cfsd: drained at epoch %d\n", cur.Epoch())
 	}
+}
+
+// newHTTPServer builds the daemon's listener-side server. A request's
+// headers must arrive within the per-request timeout: without a
+// deadline, a client that trickles its request line holds a connection
+// and a goroutine forever.
+func newHTTPServer(addr string, h http.Handler, timeout time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: timeout}
 }
 
 func fatal(err error) {

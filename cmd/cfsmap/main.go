@@ -5,14 +5,9 @@
 // Usage:
 //
 //	cfsmap [-profile small|medium|default|paper|large] [-seed N]
-//	       [-iterations N] [-workers N] [-v] [-limit N] [-unresolved]
+//	       [-iterations N] [-v] [-limit N] [-unresolved]
 //	       [-validate] [-resilience] [-metrics] [-trace-log FILE]
 //	       [-pprof ADDR]
-//
-// -workers bounds the goroutines used for the parallel phases of the
-// search (0 = one per CPU, 1 = fully serial). Every worker count
-// produces the identical mapping; the flag only trades wall-clock time
-// for cores.
 //
 // -v prints the per-iteration convergence table: resolution progress
 // plus the incremental core's work counters (dirty adjacencies,
@@ -65,7 +60,6 @@ func main() {
 		profile    = flag.String("profile", "default", "world profile: small, medium, default, paper or large")
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		iterations = flag.Int("iterations", 100, "CFS iteration cap")
-		workers    = flag.Int("workers", 0, "worker goroutines for the parallel search phases (0 = one per CPU, 1 = serial)")
 		verbose    = flag.Bool("v", false, "print the per-iteration convergence table (work counters, wall time)")
 		limit      = flag.Int("limit", 40, "rows of the mapping to print (0 = all)")
 		unresolved = flag.Bool("unresolved", false, "include unresolved interfaces in the listing")
@@ -101,7 +95,7 @@ func main() {
 	}
 
 	if *pdbFile != "" || *tracesFile != "" {
-		if err := runOffline(*pdbFile, *bgpFile, *tracesFile, *iterations, *workers, *limit, *unresolved, *verbose, o); err != nil {
+		if err := runOffline(*pdbFile, *bgpFile, *tracesFile, *iterations, *limit, *unresolved, *verbose, o); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -113,7 +107,6 @@ func main() {
 		Profile:       *profile,
 		Seed:          *seed,
 		MaxIterations: *iterations,
-		Workers:       *workers,
 		Explain:       *why != "",
 	})
 	if err != nil {
@@ -299,7 +292,7 @@ func printHistory(w io.Writer, history []cfs.IterationStats) {
 // BGP table and traceroute transcripts. Alias resolution, remote-peering
 // detection and targeted follow-ups need live measurement access and are
 // disabled; steps 1-2 plus the §4.3/§4.4 placements still run.
-func runOffline(pdbFile, bgpFile, tracesFile string, iterations, workers, limit int, unresolved, verbose bool, o *obs.Obs) error {
+func runOffline(pdbFile, bgpFile, tracesFile string, iterations, limit int, unresolved, verbose bool, o *obs.Obs) error {
 	if pdbFile == "" || tracesFile == "" {
 		return fmt.Errorf("offline mode needs both -peeringdb and -traces")
 	}
@@ -341,7 +334,6 @@ func runOffline(pdbFile, bgpFile, tracesFile string, iterations, workers, limit 
 
 	cfg := cfs.DefaultConfig()
 	cfg.MaxIterations = iterations
-	cfg.Workers = workers
 	cfg.UseTargeted = false
 	cfg.UseAliasResolution = false
 	cfg.UseRemoteDetection = false

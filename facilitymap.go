@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -55,10 +54,6 @@ type Config struct {
 	Seed int64
 	// MaxIterations bounds the CFS loop (paper: 100).
 	MaxIterations int
-	// Workers bounds the goroutines used for the parallel phases of the
-	// search. 0 means one worker per available CPU; 1 runs fully
-	// serially. Every worker count produces the identical mapping.
-	Workers int
 	// Explain records, per interface, the constraints that produced its
 	// inference; Lookup then returns them as Evidence.
 	Explain bool
@@ -121,7 +116,6 @@ func (s *System) MapInterconnections() *Mapping {
 	if s.cfg.MaxIterations > 0 {
 		c.MaxIterations = s.cfg.MaxIterations
 	}
-	c.Workers = s.cfg.Workers
 	c.TraceProvenance = s.cfg.Explain
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -274,48 +268,6 @@ func (m *Mapping) Interfaces() []InterfaceInfo {
 	return out
 }
 
-// foldWorkers resolves a worker count the way cfs.Config.Workers does:
-// 0 (or negative) means one per available CPU.
-func foldWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
-// parallelFold splits [0, n) into at most `workers` contiguous chunks
-// and runs fn on each from its own goroutine, waiting for all — the
-// same index-addressed sharding the CFS engine's compute phases use,
-// so output order never depends on goroutine scheduling. fn receives a
-// dense 0-based shard index and its half-open range; with one chunk it
-// runs inline.
-func parallelFold(n, workers int, fn func(shard, lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, 0, n)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	shard := 0
-	for s := 0; s < workers; s++ {
-		lo, hi := s*n/workers, (s+1)*n/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(shard, lo, hi int) {
-			defer wg.Done()
-			fn(shard, lo, hi)
-		}(shard, lo, hi)
-		shard++
-	}
-	wg.Wait()
-}
-
 // newMapping builds the serving tables for res. With a predecessor —
 // the snapshot of the same System that res re-converged from, so
 // Explain is on for both or for neither — every table whose inputs did
@@ -335,10 +287,9 @@ func parallelFold(n, workers int, fn func(shard, lo, hi int)) {
 // is recomputed every time. A nil prev renders everything.
 func newMapping(sys *System, res *cfs.Result, prev *Mapping) *Mapping {
 	m := &Mapping{sys: sys, res: res}
-	workers := foldWorkers(sys.cfg.Workers)
 	m.buildListing(prev)
-	m.buildRecords(prev, workers)
-	m.buildInterconnectionIndex(prev, workers)
+	m.buildRecords(prev)
+	m.buildInterconnectionIndex(prev)
 	m.summary = m.computeSummary()
 	return m
 }
@@ -373,11 +324,10 @@ func (m *Mapping) sameListing(interfaces map[netaddr.IP]*cfs.InterfaceResult) bo
 
 // buildRecords fills infos and blobs: records whose inputs equal the
 // predecessor's are shared with it, the rest are described and
-// marshaled in a parallel fold over `workers` goroutines.
-func (m *Mapping) buildRecords(prev *Mapping, workers int) {
+// marshaled.
+func (m *Mapping) buildRecords(prev *Mapping) {
 	m.infos = make([]InterfaceInfo, len(m.order))
 	m.blobs = make([][]byte, len(m.order))
-	var render []int
 	for i, ip := range m.order {
 		if prev != nil {
 			if j, ok := prev.index[ip]; ok && m.sameRecord(prev, ip) {
@@ -385,14 +335,9 @@ func (m *Mapping) buildRecords(prev *Mapping, workers int) {
 				continue
 			}
 		}
-		render = append(render, i)
+		m.infos[i] = m.describe(m.res.Interfaces[ip])
+		m.blobs[i], _ = json.Marshal(&m.infos[i])
 	}
-	parallelFold(len(render), workers, func(_, lo, hi int) {
-		for _, i := range render[lo:hi] {
-			m.infos[i] = m.describe(m.res.Interfaces[m.order[i]])
-			m.blobs[i], _ = json.Marshal(&m.infos[i])
-		}
-	})
 }
 
 // sameRecord reports whether ip describes identically in m and prev:
@@ -538,11 +483,9 @@ func (m *Mapping) ASPairs() int {
 // index, or shares the predecessor's when every link's key is
 // unchanged. The far-end AS of a public link is the owner of the
 // replying IXP port, resolved through the snapshot's own interface
-// inferences (the same rule the resilience analyzer applies). A
-// rebuild is a parallel fold: contiguous link ranges build per-shard
-// partial indexes, merged in shard order so every pair's link list
-// stays in ascending global link order regardless of worker count.
-func (m *Mapping) buildInterconnectionIndex(prev *Mapping, workers int) {
+// inferences (the same rule the resilience analyzer applies). Every
+// pair's link list is in ascending link order.
+func (m *Mapping) buildInterconnectionIndex(prev *Mapping) {
 	links := m.res.Links
 	m.far = make([]world.ASN, len(links))
 	same := prev != nil && len(prev.far) == len(links)
@@ -556,31 +499,14 @@ func (m *Mapping) buildInterconnectionIndex(prev *Mapping, workers int) {
 		m.ixn = prev.ixn
 		return
 	}
-	w := workers
-	if w > len(links) {
-		w = len(links)
-	}
-	if w < 1 {
-		w = 1
-	}
-	parts := make([]map[asPair][]int, w)
-	parallelFold(len(links), w, func(shard, lo, hi int) {
-		part := make(map[asPair][]int)
-		for i := lo; i < hi; i++ {
-			near, far := links[i].NearAS, m.far[i]
-			if near == 0 || far == 0 || far == near {
-				continue
-			}
-			key := pairKey(near, far)
-			part[key] = append(part[key], i)
-		}
-		parts[shard] = part
-	})
 	idx := make(map[asPair][]int)
-	for _, part := range parts {
-		for key, is := range part {
-			idx[key] = append(idx[key], is...)
+	for i, l := range links {
+		near, far := l.NearAS, m.far[i]
+		if near == 0 || far == 0 || far == near {
+			continue
 		}
+		key := pairKey(near, far)
+		idx[key] = append(idx[key], i)
 	}
 	m.ixn = idx
 }

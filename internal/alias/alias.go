@@ -186,20 +186,20 @@ func Resolve(p *Prober, ips []netaddr.IP) *Sets {
 	}
 	var cands []candidate
 	for _, ip := range targets {
-		var series []sample
+		var series [estimationProbes]sample
 		ok := true
-		for i := 0; i < estimationProbes; i++ {
+		for i := range series {
 			id, responded := p.Probe(ip)
 			if !responded {
 				ok = false
 				break
 			}
-			series = append(series, sample{p.Clock(), id})
+			series[i] = sample{p.Clock(), id}
 		}
 		if !ok {
 			continue
 		}
-		vel, usable := estimateVelocity(series)
+		vel, usable := estimateVelocity(series[:])
 		if !usable {
 			continue
 		}
@@ -261,10 +261,11 @@ func Resolve(p *Prober, ips []netaddr.IP) *Sets {
 	// that slipped through stage 3 by phase coincidence drift apart as
 	// their counters advance at slightly different rates, so a later
 	// re-test rejects them; genuine aliases share one counter and pass
-	// forever.
+	// forever. An edge whose ends an earlier re-test already joined
+	// transitively is not re-tested.
 	for _, e := range passed {
 		if find(e.a) == find(e.b) {
-			continue // already corroborated transitively? still verify
+			continue // already corroborated transitively: skip the re-test
 		}
 		if monotonicBoundsTest(p, e.a, e.b, e.vel) {
 			union(e.a, e.b)
@@ -338,10 +339,12 @@ func estimateVelocity(series []sample) (float64, bool) {
 
 // monotonicBoundsTest interleaves probes between two addresses and
 // accepts them as aliases when every consecutive IP-ID delta is within
-// the bound implied by the estimated shared velocity.
+// the bound implied by the estimated shared velocity. The samples live
+// in a fixed array: the test runs once per velocity-compatible pair, so
+// any allocation here is paid at every pair.
 func monotonicBoundsTest(p *Prober, a, b netaddr.IP, vel float64) bool {
-	var merged []sample
-	for i := 0; i < mbtProbes; i++ {
+	var merged [mbtProbes]sample
+	for i := range merged {
 		ip := a
 		if i%2 == 1 {
 			ip = b
@@ -350,7 +353,7 @@ func monotonicBoundsTest(p *Prober, a, b netaddr.IP, vel float64) bool {
 		if !ok {
 			return false
 		}
-		merged = append(merged, sample{p.Clock(), id})
+		merged[i] = sample{p.Clock(), id}
 	}
 	for i := 1; i < len(merged); i++ {
 		dt := merged[i].t - merged[i-1].t

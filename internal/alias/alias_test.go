@@ -204,3 +204,29 @@ func TestProbeAccounting(t *testing.T) {
 		t.Error("clock did not advance")
 	}
 }
+
+// TestMonotonicBoundsTestAllocFree: the pairwise test keeps its samples
+// in a fixed array, so once both addresses' counter state exists a
+// call allocates nothing. It runs once per velocity-compatible pair.
+func TestMonotonicBoundsTestAllocFree(t *testing.T) {
+	w := world.Generate(world.Small())
+	p := NewProber(w, 3)
+	var a, b netaddr.IP
+	for _, r := range w.Routers {
+		if r.IPID == world.IPIDSharedCounter && len(r.Interfaces) >= 2 {
+			a, b = w.Interfaces[r.Interfaces[0]].IP, w.Interfaces[r.Interfaces[1]].IP
+			break
+		}
+	}
+	if a == 0 {
+		t.Fatal("no shared-counter router with two interfaces in the small world")
+	}
+	probes := p.Probes
+	monotonicBoundsTest(p, a, b, 1000)
+	if got := p.Probes - probes; got != mbtProbes {
+		t.Fatalf("one test issued %d probes, want %d: both addresses must answer", got, mbtProbes)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { monotonicBoundsTest(p, a, b, 1000) }); allocs != 0 {
+		t.Errorf("monotonicBoundsTest allocates %v times per call, want 0", allocs)
+	}
+}

@@ -56,18 +56,6 @@ type Config struct {
 	// resolution re-runs over the grown interface pool.
 	AliasRounds []int
 
-	// Workers bounds the goroutines of the search's one parallel
-	// layer: the pure halves of each iteration (path classification,
-	// per-adjacency constraint proposals, alias-set intersections,
-	// follow-up target selection). 0 means runtime.GOMAXPROCS(0); 1
-	// runs the exact serial code path with no goroutines. Results are
-	// bit-for-bit identical for every worker count: parallel phases are
-	// pure computations whose outputs merge on the coordinator in
-	// discovery order, and every measurement (traceroute, ping, alias
-	// probe) is issued from the coordinator in the serial order, so the
-	// simulator's probe-counter-derived randomness is untouched.
-	Workers int
-
 	// Ablation switches.
 	UseAliasResolution bool
 	UseTargeted        bool
@@ -100,7 +88,6 @@ func DefaultConfig() Config {
 		UseTargeted:         true,
 		UseRemoteDetection:  true,
 		UseProximity:        true,
-		Workers:             0, // auto: one worker per available CPU
 	}
 }
 
@@ -115,8 +102,7 @@ type Pipeline struct {
 
 	// fs interns the facility-set universe: the dense bit-slot index
 	// plus per-AS and per-IXP bitsets. Built once here (the registry is
-	// immutable within a run) and shared read-only by every state and
-	// worker goroutine.
+	// immutable within a run) and shared read-only by every state.
 	fs *facsets
 
 	// m holds the pre-resolved observability handles (all nil-safe

@@ -17,14 +17,14 @@ import (
 // per-pipeline facility index: intersect is a word-wise AND, size is
 // popcount, and the common sets (an AS's footprint, an IXP's facility
 // list) are interned once per pipeline and shared read-only across
-// iterations and worker goroutines.
+// iterations.
 
 // facIndex maps the pipeline's facility universe to dense bit slots.
 // Slots are assigned in ascending FacilityID order, so walking a
 // facset's bits in slot order yields facility IDs already sorted —
 // assemble and the property tests rely on this. Built once per
 // pipeline from the registry (immutable within a run) and never
-// mutated afterwards, so worker goroutines read it freely.
+// mutated afterwards.
 type facIndex struct {
 	ids   []world.FacilityID       // slot -> FacilityID, ascending
 	slots map[world.FacilityID]int // FacilityID -> slot
@@ -189,9 +189,10 @@ func subsetOf(a, b facset) bool {
 
 // facsets is the pipeline's interned facility-set store: the facility
 // index plus the per-AS and per-IXP bitsets the constraint step
-// intersects on every proposal. All fields are written once at
-// pipeline construction and read-only afterwards — computeProposal
-// runs on worker goroutines and reads these without synchronisation.
+// intersects on every proposal. Built at pipeline construction; only
+// ApplyDelta replaces the footprint of an AS or IXP whose facility
+// list a delta edited, so within a run every interned set is
+// read-only and may be shared.
 type facsets struct {
 	fx  *facIndex
 	as  map[world.ASN]facset

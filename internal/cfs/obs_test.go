@@ -31,8 +31,8 @@ func TestObsEnabledRunsBitForBitIdentical(t *testing.T) {
 		name  string
 		setup func(*Pipeline)
 	}{{"worklist", nil}, {"rescan", useRescan}} {
-		plain := workersConfig(4)
-		observed := workersConfig(4)
+		plain := DefaultConfig()
+		observed := DefaultConfig()
 		observed.Obs = obs.New(1 << 12)
 		a := freshRunWith(t, world.Small(), 23, plain, core.setup)
 		b := freshRunWith(t, world.Small(), 23, observed, core.setup)
@@ -87,10 +87,10 @@ func TestObsCountersMatchEngineProbes(t *testing.T) {
 // TestMergeObservedMatchesMerge: the observed fold returns the same
 // Result and books the fold's shape.
 func TestMergeObservedMatchesMerge(t *testing.T) {
-	_, r1 := runSmall(t, workersConfig(1))
+	_, r1 := runSmall(t, DefaultConfig())
 	o := obs.New(16)
 	plain := Merge(r1, r1)
-	observed := MergeObserved(o, 0, r1, r1)
+	observed := MergeObserved(o, r1, r1)
 	if len(plain.Interfaces) != len(observed.Interfaces) ||
 		plain.MergeConflicts != observed.MergeConflicts ||
 		len(plain.Links) != len(observed.Links) {
@@ -112,7 +112,7 @@ func TestMergeObservedMatchesMerge(t *testing.T) {
 // between them.
 func TestWallTimeExcludesSnapshotOverhead(t *testing.T) {
 	s := buildStack(t, world.Small())
-	cfg := workersConfig(1)
+	cfg := DefaultConfig()
 	cfg.MaxIterations = 1
 	p := mustNew(t, cfg, s.db, s.ipasn, s.svc, s.det, s.prober)
 	p.now = fakeClock()

@@ -2,11 +2,13 @@ package cfs
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"facilitymap/internal/netaddr"
+	"facilitymap/internal/trace"
 	"facilitymap/internal/world"
 )
 
@@ -164,7 +166,7 @@ func TestConstrainMonotonic(t *testing.T) {
 			for _, x := range raw {
 				ids = append(ids, world.FacilityID(x%32)+1)
 			}
-			st.constrain(ip, fx.setOf(ids), "prop")
+			st.constrain(ip, fx.setOf(ids), reason{})
 			cur := st.cand[ip]
 			if cur == nil {
 				// Only legal when every set so far was empty.
@@ -228,22 +230,51 @@ func TestIntersectProperties(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic: identical inputs produce identical inferences.
+// TestRunDeterministic: two fresh stacks over identical inputs produce
+// bit-for-bit identical results — inferences, links, convergence curve,
+// counters and provenance.
 func TestRunDeterministic(t *testing.T) {
 	s1 := buildStack(t, world.Small())
 	cfg := DefaultConfig()
 	cfg.MaxIterations = 12
+	cfg.TraceProvenance = true
 	r1 := mustNew(t, cfg, s1.db, s1.ipasn, s1.svc, s1.det, s1.prober).Run(s1.initialCorpus())
 	s2 := buildStack(t, world.Small())
 	r2 := mustNew(t, cfg, s2.db, s2.ipasn, s2.svc, s2.det, s2.prober).Run(s2.initialCorpus())
-	if len(r1.Interfaces) != len(r2.Interfaces) || r1.Resolved() != r2.Resolved() {
-		t.Fatalf("non-deterministic run: %d/%d vs %d/%d",
-			r1.Resolved(), len(r1.Interfaces), r2.Resolved(), len(r2.Interfaces))
-	}
-	for ip, a := range r1.Interfaces {
-		b := r2.Interfaces[ip]
-		if b == nil || a.Resolved != b.Resolved || a.Facility != b.Facility {
-			t.Fatalf("interface %v diverged: %+v vs %+v", ip, a, b)
+	requireEqualResults(t, "fresh runs", r1, r2)
+}
+
+// TestClassifyPathSkipsSilentHops: classifyPath pairs hops as
+// trace.Path.ResponsiveHops lists them — a hop that did not respond,
+// or responded with the zero address, is invisible — so a path with
+// such hops spliced in classifies exactly like the path of its
+// responsive hops alone.
+func TestClassifyPathSkipsSilentHops(t *testing.T) {
+	s := buildStack(t, world.Small())
+	st := mustNew(t, DefaultConfig(), s.db, s.ipasn, s.svc, s.det, s.prober).newState()
+	events := 0
+	for i, path := range s.initialCorpus() {
+		noisy, clean := path, path
+		noisy.Hops, clean.Hops = nil, nil
+		for j, h := range path.Hops {
+			switch (i + j) % 3 {
+			case 0:
+				noisy.Hops = append(noisy.Hops, trace.Hop{IP: h.IP + 1}) // silent
+			case 1:
+				noisy.Hops = append(noisy.Hops, trace.Hop{Responded: true}) // zero address
+			}
+			noisy.Hops = append(noisy.Hops, h)
 		}
+		for _, ip := range path.ResponsiveHops() {
+			clean.Hops = append(clean.Hops, trace.Hop{IP: ip, Responded: true})
+		}
+		got, want := st.classifyPath(noisy, nil), st.classifyPath(clean, nil)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("path %d: spliced path classified as %+v, responsive hops as %+v", i, got, want)
+		}
+		events += len(want)
+	}
+	if events == 0 {
+		t.Fatal("the corpus produced no adjacency events")
 	}
 }

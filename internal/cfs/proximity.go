@@ -65,55 +65,17 @@ func (px *Proximity) Pick(ix world.IXPID, near world.FacilityID, cands []world.F
 	return best, true
 }
 
-// absorb folds another ranking's counts into px. Addition commutes, so
-// the merged ranking is independent of shard layout and merge order.
-func (px *Proximity) absorb(other *Proximity) {
-	for ix, m := range other.counts {
-		dst := px.counts[ix]
-		if dst == nil {
-			dst = make(map[[2]world.FacilityID]int, len(m))
-			px.counts[ix] = dst
-		}
-		for k, n := range m {
-			dst[k] += n
-		}
-	}
-}
-
 // learnProximity builds the ranking from fully-resolved public
-// crossings. Counting commutes, so with multiple workers the crossings
-// shard into per-worker rankings that merge by integer addition —
-// bit-for-bit the serial counts.
-func (p *Pipeline) learnProximity(st *state, res *Result) *Proximity {
-	observe := func(px *Proximity, a *Adjacency) {
+// crossings.
+func learnProximity(st *state, res *Result) *Proximity {
+	px := NewProximity()
+	for _, a := range st.adjOrder {
 		if !a.Public {
-			return
+			continue
 		}
 		near, far := res.Interfaces[a.Near], res.Interfaces[a.FarPort]
 		if near != nil && far != nil && near.Resolved && far.Resolved {
 			px.Observe(a.IXP, near.Facility, far.Facility)
-		}
-	}
-	w := p.cfg.workerCount()
-	if w <= 1 || len(st.adjOrder) < minParallelAdjs {
-		px := NewProximity()
-		for _, a := range st.adjOrder {
-			observe(px, a)
-		}
-		return px
-	}
-	shards := make([]*Proximity, w)
-	parallelRanges(len(st.adjOrder), w, func(s, lo, hi int) {
-		px := NewProximity()
-		for i := lo; i < hi; i++ {
-			observe(px, st.adjOrder[i])
-		}
-		shards[s] = px
-	})
-	px := NewProximity()
-	for _, shard := range shards {
-		if shard != nil {
-			px.absorb(shard)
 		}
 	}
 	return px
@@ -121,14 +83,13 @@ func (p *Pipeline) learnProximity(st *state, res *Result) *Proximity {
 
 // applyProximity runs the fallback far-end placement (§4.4): learn the
 // proximity ranking from fully-resolved public crossings, then place
-// far-end ports that still carry multiple candidate facilities. The
-// placement pass stays on the coordinator: placing one far port flips
-// it to resolved, which later adjacencies sharing the port observe, so
-// adjacency order is semantics. Like applyFarEnd it runs once, after
+// far-end ports that still carry multiple candidate facilities.
+// Placing one far port flips it to resolved, which later adjacencies
+// sharing the port observe, so adjacency order is semantics. Like applyFarEnd it runs once, after
 // the iteration loop reached its fixed point, on the assembled Result —
 // outside any engine's dirty-set accounting.
 func (p *Pipeline) applyProximity(st *state, res *Result) {
-	px := p.learnProximity(st, res)
+	px := learnProximity(st, res)
 	for _, a := range st.adjOrder {
 		if !a.Public {
 			continue

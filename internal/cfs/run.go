@@ -1,7 +1,8 @@
 package cfs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"facilitymap/internal/netaddr"
 	"facilitymap/internal/obs"
@@ -259,48 +260,14 @@ func (st *state) singleCluster(c facset) bool {
 	return ok && first != -1
 }
 
-// targetPlan is the precomputed follow-up selection for one unresolved
-// interface: the outcome of the pure target-picking scan, decoupled
-// from probe issuing so the scan can fan out across workers.
-type targetPlan struct {
-	ok      bool
-	targets []world.ASN
-}
-
-// planTargets runs the pure half of Step 4 for one interface: resolve
-// its owner, look up the owner's footprint, and score candidate target
-// ASes. It reads only round-start state (candidate sets, queried IXPs
-// and used-target records are not mutated while planning), so plans
-// computed concurrently match the lazy serial computation exactly.
-func (st *state) planTargets(ip netaddr.IP, owner ownerFn) targetPlan {
-	ownerAS, ok := owner(ip)
-	if !ok {
-		return targetPlan{}
-	}
-	fa := st.p.db.FacilitiesOfAS(ownerAS)
-	if len(fa) == 0 {
-		return targetPlan{} // missing facility data: no constraint can help
-	}
-	cand := st.cand[ip]
-	if cand == nil {
-		cand = st.p.fs.ofAS(st.p.db, ownerAS)
-	}
-	return targetPlan{ok: true, targets: st.pickTargets(ip, ownerAS, fa, cand)}
-}
-
 // targetedRound implements Step 4: for unresolved interfaces, pick
 // target ASes whose facility sets can shrink the candidates, and
 // traceroute toward them from vantage points that saw the interface.
-//
-// Target selection — the expensive scan over every origin AS — is a
-// pure function of round-start state, so with multiple workers it
-// precomputes for the whole unresolved pool in parallel. The probes
-// themselves always issue from this goroutine in pool order: the
-// simulated engine derives measurement randomness from its global
+// Targets are picked lazily, interface by interface in pool order, and
+// the round stops at the follow-up budget. Issue order is semantics:
+// the simulated engine derives measurement randomness from its global
 // probe counter, and follow-up paths feed back into the pool that
-// later target-address picks consult, so issue order is semantics.
-// Workers=1 keeps the lazy serial scan and does no extra work beyond
-// the follow-up budget.
+// later target-address picks consult.
 func (st *state) targetedRound(iter int) (followUps, newAdjs int) {
 	cfg := st.p.cfg
 	budget := cfg.FollowUpBudget
@@ -308,31 +275,23 @@ func (st *state) targetedRound(iter int) (followUps, newAdjs int) {
 	for _, k := range cfg.Platforms {
 		allowed[k] = true
 	}
-	unresolved := st.unresolved()
-	var plans []targetPlan
-	if w := cfg.workerCount(); w > 1 && len(unresolved) >= minParallelPlans {
-		plans = make([]targetPlan, len(unresolved))
-		parallelRanges(len(unresolved), w, func(_, lo, hi int) {
-			owner := st.readOnlyOwner()
-			for i := lo; i < hi; i++ {
-				plans[i] = st.planTargets(unresolved[i], owner.ownerOf)
-			}
-		})
-	}
-	for i, ip := range unresolved {
+	for _, ip := range st.unresolved() {
 		if budget <= 0 {
 			break
 		}
-		var plan targetPlan
-		if plans != nil {
-			plan = plans[i]
-		} else {
-			plan = st.planTargets(ip, st.ownerOf)
-		}
-		if !plan.ok {
+		ownerAS, ok := st.ownerOf(ip)
+		if !ok {
 			continue
 		}
-		for _, tgt := range plan.targets {
+		fa := st.p.db.FacilitiesOfAS(ownerAS)
+		if len(fa) == 0 {
+			continue // missing facility data: no constraint can help
+		}
+		cand := st.cand[ip]
+		if cand == nil {
+			cand = st.p.fs.ofAS(st.p.db, ownerAS)
+		}
+		for _, tgt := range st.pickTargets(ip, ownerAS, fa, cand) {
 			if budget <= 0 {
 				break
 			}
@@ -368,69 +327,95 @@ func (st *state) targetedRound(iter int) (followUps, newAdjs int) {
 			used[tgt] = true
 		}
 	}
+	st.origins = nil // built per round: see roundOrigins
 	return followUps, newAdjs
+}
+
+// originAS is one origin AS with its interned facility footprint.
+type originAS struct {
+	asn  world.ASN
+	foot facset
+	size int // foot.count()
+}
+
+// roundOrigins returns the origin ASes that have a facility footprint,
+// in allASNs order, building the list on the round's first call.
+func (st *state) roundOrigins() []originAS {
+	if st.origins == nil {
+		st.origins = make([]originAS, 0, len(st.allASNs))
+		for _, asn := range st.allASNs {
+			foot := st.p.fs.ofAS(st.p.db, asn)
+			if n := foot.count(); n > 0 {
+				st.origins = append(st.origins, originAS{asn, foot, n})
+			}
+		}
+	}
+	return st.origins
+}
+
+// scoredTarget is one follow-up target candidate of pickTargets.
+type scoredTarget struct {
+	asn     world.ASN
+	overlap int
+	subset  bool // facility footprint fully inside F_A
+	atQuery bool // colocated at an already-queried IXP
 }
 
 // pickTargets selects follow-up target ASes for an unresolved interface
 // owned by A: networks whose facility footprint is a subset of A's
 // (paper: {F_target} ⊂ {F_A}) and overlaps — but does not cover — the
 // current candidate set, smallest overlap first, preferring targets not
-// colocated at IXPs already used to constrain this interface.
+// colocated at IXPs already used to constrain this interface. The
+// filters are conjunctive and the order is total, so the cheap bitset
+// overlap test runs before the map lookups without changing the picks.
 func (st *state) pickTargets(ip netaddr.IP, a world.ASN, fa []world.FacilityID, cand facset) []world.ASN {
-	fs := st.p.fs
-	faSet := fs.ofAS(st.p.db, a)
+	faSet := st.p.fs.ofAS(st.p.db, a)
 	candN := cand.count()
 	queried := st.queriedIXPs[ip]
 	used := st.usedTargets[ip]
 
-	type scored struct {
-		asn     world.ASN
-		overlap int
-		subset  bool // facility footprint fully inside F_A
-		atQuery bool // colocated at an already-queried IXP
-	}
-	var cands []scored
-	for _, rec := range st.allASNs {
-		if rec == a || used[rec] {
+	cands := st.picks[:0]
+	for _, o := range st.roundOrigins() {
+		if o.asn == a {
 			continue
 		}
-		ftSet := fs.ofAS(st.p.db, rec)
-		if ftSet.count() == 0 {
+		overlap := overlapCount(o.foot, cand)
+		if overlap == 0 || overlap == candN || used[o.asn] {
 			continue
 		}
-		subset := ftSet.count() < len(fa) && subsetOf(ftSet, faSet)
-		overlap := overlapCount(ftSet, cand)
-		if overlap == 0 || overlap == candN {
-			continue
-		}
+		subset := o.size < len(fa) && subsetOf(o.foot, faSet)
 		atQuery := false
-		for _, ix := range st.p.db.IXPsOfAS(rec) {
+		for _, ix := range st.p.db.IXPsOfAS(o.asn) {
 			if queried[ix] {
 				atQuery = true
 				break
 			}
 		}
-		cands = append(cands, scored{rec, overlap, subset, atQuery})
+		cands = append(cands, scoredTarget{o.asn, overlap, subset, atQuery})
 	}
-	sort.Slice(cands, func(i, j int) bool {
+	st.picks = cands
+	slices.SortFunc(cands, func(x, y scoredTarget) int {
 		// Paper preference first: targets whose footprint is a strict
 		// subset of F_A guarantee any resulting constraint shrinks the
 		// set; non-subset overlappers are a fallback tier.
-		if cands[i].subset != cands[j].subset {
-			return cands[i].subset
+		if x.subset != y.subset {
+			if x.subset {
+				return -1
+			}
+			return 1
 		}
-		if cands[i].atQuery != cands[j].atQuery {
-			return !cands[i].atQuery // unqueried-IXP targets first
+		if x.atQuery != y.atQuery {
+			if !x.atQuery {
+				return -1 // unqueried-IXP targets first
+			}
+			return 1
 		}
-		if cands[i].overlap != cands[j].overlap {
-			return cands[i].overlap < cands[j].overlap
+		if x.overlap != y.overlap {
+			return cmp.Compare(x.overlap, y.overlap)
 		}
-		return cands[i].asn < cands[j].asn
+		return cmp.Compare(x.asn, y.asn)
 	})
-	n := st.p.cfg.TargetsPerInterface
-	if n > len(cands) {
-		n = len(cands)
-	}
+	n := min(st.p.cfg.TargetsPerInterface, len(cands))
 	out := make([]world.ASN, 0, n)
 	for _, c := range cands[:n] {
 		out = append(out, c.asn)

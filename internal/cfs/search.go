@@ -66,8 +66,19 @@ type state struct {
 	wl *worklist
 
 	// allASNs caches the (static, sorted) origin-AS list the target
-	// scan walks, so concurrent planners don't re-sort it per call.
+	// scan walks, so it is not re-sorted per call.
 	allASNs []world.ASN
+	// origins is allASNs with each AS's interned footprint, restricted
+	// to the ASes that have one. Built on a targeted round's first
+	// pickTargets call and dropped when the round ends, so a registry
+	// delta between runs can never leave it stale.
+	origins []originAS
+	// picks is the list of scored targets pickTargets fills, reused
+	// across calls.
+	picks []scoredTarget
+	// events is processPath's classified-hop buffer, reused for every
+	// ingested path: the whole loop runs on one goroutine.
+	events []adjEvent
 
 	// prov records constraint provenance per IP when tracing is on.
 	prov map[netaddr.IP][]string
@@ -181,15 +192,22 @@ type adjEvent struct {
 	hasPortAS   bool
 }
 
-// classifyPath is the side-effect-free half of Step 1 (§4.2): it turns
-// one traceroute into adjacency events using only pure lookups (IXP
-// prefix trie, ownership resolution), appending to events. Workers run
-// it concurrently with a read-only ownerFn; the serial path passes
-// state.ownerOf.
-func (st *state) classifyPath(path trace.Path, owner ownerFn, events []adjEvent) []adjEvent {
-	hops := path.ResponsiveHops()
-	for i := 0; i+1 < len(hops); i++ {
-		h1, h2 := hops[i], hops[i+1]
+// classifyPath is the lookup half of Step 1 (§4.2): it turns one
+// traceroute into adjacency events using only the IXP prefix trie and
+// ownership resolution, appending to events. It pairs consecutive
+// responsive hops straight from path.Hops, skipping silent hops and
+// zero addresses by the rule trace.Path.ResponsiveHops applies.
+func (st *state) classifyPath(path trace.Path, events []adjEvent) []adjEvent {
+	var prev netaddr.IP // the last responsive hop; zero before the first
+	for _, hop := range path.Hops {
+		if !hop.Responded || hop.IP == 0 {
+			continue
+		}
+		h1, h2 := prev, hop.IP
+		prev = h2
+		if h1 == 0 {
+			continue
+		}
 		if ix, ok := st.p.db.IXPByIP(h2); ok {
 			// Public peering (IP_A, IP_ixp, ...): the near interface h1
 			// belongs to the near member's router; h2 is the far
@@ -197,11 +215,11 @@ func (st *state) classifyPath(path trace.Path, owner ownerFn, events []adjEvent)
 			if _, isIXP := st.p.db.IXPByIP(h1); isIXP {
 				continue // consecutive IXP hops: ambiguous, discard
 			}
-			if _, ok := owner(h1); !ok {
+			if _, ok := st.ownerOf(h1); !ok {
 				continue // unresolved interface: discard (§4.2 step 1)
 			}
 			ev := adjEvent{near: h1, other: h2, public: true, ix: ix}
-			if b, ok := owner(h2); ok {
+			if b, ok := st.ownerOf(h2); ok {
 				ev.portAS, ev.hasPortAS = b, true
 			}
 			events = append(events, ev)
@@ -211,8 +229,8 @@ func (st *state) classifyPath(path trace.Path, owner ownerFn, events []adjEvent)
 		// ASes. Shared-/30 misattribution makes some of these look
 		// intra-AS until alias repair fixes the owners; adjacencies are
 		// re-derived from stored IPs each round, so repairs take effect.
-		a1, ok1 := owner(h1)
-		a2, ok2 := owner(h2)
+		a1, ok1 := st.ownerOf(h1)
+		a2, ok2 := st.ownerOf(h2)
 		if !ok1 || !ok2 || a1 == a2 {
 			continue
 		}
@@ -222,7 +240,7 @@ func (st *state) classifyPath(path trace.Path, owner ownerFn, events []adjEvent)
 }
 
 // applyPathEvents is the mutating half of Step 1: it folds classified
-// events into the adjacency state in hop order. Coordinator-only.
+// events into the adjacency state in hop order.
 func (st *state) applyPathEvents(path trace.Path, events []adjEvent) int {
 	vp := st.vpsByRouter[path.SrcRouter]
 	added := 0
@@ -250,9 +268,18 @@ func (st *state) applyPathEvents(path trace.Path, events []adjEvent) int {
 	return added
 }
 
-// processPath classifies one traceroute into adjacencies (Step 1, §4.2).
+// processPath classifies one traceroute into adjacencies (Step 1, §4.2),
+// classifying into the state's reused event buffer.
 func (st *state) processPath(path trace.Path) int {
-	return st.applyPathEvents(path, st.classifyPath(path, st.ownerOf, nil))
+	st.events = st.classifyPath(path, st.events[:0])
+	return st.applyPathEvents(path, st.events)
+}
+
+// ingestPaths runs Step 1 over a traceroute corpus, in corpus order.
+func (st *state) ingestPaths(paths []trace.Path) {
+	for _, path := range paths {
+		st.processPath(path)
+	}
 }
 
 // constrainOutcome reports what a constrain call did.
@@ -271,6 +298,43 @@ type adjConflictKey struct {
 	side uint8 // 'n' near set, 'f' far set, 'r' remote verdict vs facility data
 }
 
+// reasonKind names the rule behind a constraint.
+type reasonKind uint8
+
+const (
+	reasonPublicNear   reasonKind = iota // as at ixp, near side
+	reasonPublicFar                      // as at ixp, far port
+	reasonRemoteMember                   // as reaches ixp remotely
+	reasonPrivatePair                    // as x as2, far interface ip
+	reasonAliasSet                       // alias set whose first member is ip
+)
+
+// reason is a constraint's provenance, kept unformatted: noteNarrowed
+// renders it only when provenance is recorded, so a run without
+// provenance formats no text. The fields a kind does not name stay
+// zero.
+type reason struct {
+	kind    reasonKind
+	as, as2 world.ASN
+	ixp     world.IXPID
+	ip      netaddr.IP
+}
+
+func (r reason) String() string {
+	switch r.kind {
+	case reasonPublicNear:
+		return fmt.Sprintf("public near %v x IXP%d", r.as, r.ixp)
+	case reasonPublicFar:
+		return fmt.Sprintf("public far %v x IXP%d", r.as, r.ixp)
+	case reasonRemoteMember:
+		return fmt.Sprintf("remote member %v of IXP%d", r.as, r.ixp)
+	case reasonPrivatePair:
+		return fmt.Sprintf("private pair %v x %v (far %v)", r.as, r.as2, r.ip)
+	default:
+		return fmt.Sprintf("alias set of %v", r.ip)
+	}
+}
+
 // constrain intersects ip's candidate set with s (Step 2). Candidate
 // sets only ever shrink; an empty intersection signals inconsistent
 // data and leaves the previous set untouched. Provenance records only
@@ -278,7 +342,7 @@ type adjConflictKey struct {
 // is a no-op, not new evidence — which also keeps the trace identical
 // whether or not an engine bothers to re-derive it. The caller decides
 // whether a conflict outcome is newly discovered.
-func (st *state) constrain(ip netaddr.IP, s facset, reason string) constrainOutcome {
+func (st *state) constrain(ip netaddr.IP, s facset, why reason) constrainOutcome {
 	n := s.count()
 	if n == 0 {
 		return constrainNoop
@@ -287,7 +351,7 @@ func (st *state) constrain(ip netaddr.IP, s facset, reason string) constrainOutc
 	if cur == nil {
 		// Clone: s may be an interned footprint shared across the run.
 		st.cand[ip] = s.clone()
-		st.noteNarrowed(ip, reason, n)
+		st.noteNarrowed(ip, why, n)
 		return constrainNarrowed
 	}
 	inter := intersect(cur, s)
@@ -297,7 +361,7 @@ func (st *state) constrain(ip netaddr.IP, s facset, reason string) constrainOutc
 	}
 	if in != cur.count() {
 		st.cand[ip] = inter
-		st.noteNarrowed(ip, reason, in)
+		st.noteNarrowed(ip, why, in)
 		return constrainNarrowed
 	}
 	return constrainNoop
@@ -305,13 +369,13 @@ func (st *state) constrain(ip netaddr.IP, s facset, reason string) constrainOutc
 
 // noteNarrowed records the bookkeeping of a candidate-set change:
 // provenance, the fixed-point flag, and the worklist's dirty marking.
-func (st *state) noteNarrowed(ip netaddr.IP, reason string, size int) {
+func (st *state) noteNarrowed(ip netaddr.IP, why reason, size int) {
 	st.changed = true
 	if st.p != nil { // unit tests exercise bare states with no pipeline
 		st.p.m.narrowings.Inc()
 	}
 	if st.prov != nil {
-		st.prov[ip] = append(st.prov[ip], fmt.Sprintf("%s -> %d candidates", reason, size))
+		st.prov[ip] = append(st.prov[ip], fmt.Sprintf("%s -> %d candidates", why, size))
 	}
 	if st.wl != nil {
 		st.wl.candChanged(ip)
@@ -368,8 +432,8 @@ func (st *state) checkRemote(asn world.ASN, ix world.IXPID) int {
 // facility-set intersection the constraint step needs, computed from
 // registry and ownership lookups alone. It carries no verdicts that
 // require measurements — the empty-intersection remote-peering check
-// happens in the apply half, on the coordinator, so the detector's
-// fabric pings keep their serial issue order.
+// happens in the apply half, so the detector's fabric pings issue in
+// adjacency order.
 type adjProposal struct {
 	nearAS, farAS world.ASN
 	nearOK, farOK bool
@@ -388,26 +452,26 @@ type adjProposal struct {
 }
 
 // computeProposal evaluates the side-effect-free constraint sets for
-// one adjacency. Safe for concurrent use with a read-only ownerFn.
-func (st *state) computeProposal(a *Adjacency, owner ownerFn) adjProposal {
+// one adjacency.
+func (st *state) computeProposal(a *Adjacency) adjProposal {
 	db, fs := st.p.db, st.p.fs
 	var pr adjProposal
 	if a.Public {
 		fixp := fs.ofIXP(db, a.IXP)
-		if nearAS, ok := owner(a.Near); ok {
+		if nearAS, ok := st.ownerOf(a.Near); ok {
 			pr.nearAS, pr.nearOK = nearAS, true
 			pr.nearFoot = fs.ofAS(db, nearAS)
 			pr.nearSet = intersect(pr.nearFoot, fixp)
 		}
-		if farAS, ok := owner(a.FarPort); ok {
+		if farAS, ok := st.ownerOf(a.FarPort); ok {
 			pr.farAS, pr.farOK = farAS, true
 			pr.farFoot = fs.ofAS(db, farAS)
 			pr.farSet = intersect(pr.farFoot, fixp)
 		}
 		return pr
 	}
-	nearAS, ok1 := owner(a.Near)
-	farAS, ok2 := owner(a.Far)
+	nearAS, ok1 := st.ownerOf(a.Near)
+	farAS, ok2 := st.ownerOf(a.Far)
 	if !ok1 || !ok2 || nearAS == farAS {
 		return pr // apply half leaves the adjacency untouched
 	}
@@ -433,7 +497,7 @@ func (st *state) applyPublic(idx int, a *Adjacency, pr adjProposal) {
 		a.NearAS = pr.nearAS
 		switch {
 		case pr.nearSet.count() > 0:
-			if st.constrain(a.Near, pr.nearSet, fmt.Sprintf("public near %v x IXP%d", pr.nearAS, a.IXP)) == constrainConflict {
+			if st.constrain(a.Near, pr.nearSet, reason{kind: reasonPublicNear, as: pr.nearAS, ixp: a.IXP}) == constrainConflict {
 				st.noteAdjConflict(idx, 'n')
 			}
 			st.markQueried(a.Near, a.IXP)
@@ -444,7 +508,7 @@ func (st *state) applyPublic(idx int, a *Adjacency, pr adjProposal) {
 			case 1:
 				st.remoteIface[a.Near] = true
 				// Anywhere in the member's footprint.
-				if st.constrain(a.Near, pr.nearFoot, fmt.Sprintf("remote member %v of IXP%d", pr.nearAS, a.IXP)) == constrainConflict {
+				if st.constrain(a.Near, pr.nearFoot, reason{kind: reasonRemoteMember, as: pr.nearAS, ixp: a.IXP}) == constrainConflict {
 					st.noteAdjConflict(idx, 'n')
 				}
 				a.Type = PublicRemote
@@ -463,14 +527,14 @@ func (st *state) applyPublic(idx int, a *Adjacency, pr adjProposal) {
 	a.FarAS = pr.farAS
 	switch {
 	case pr.farSet.count() > 0:
-		if st.constrain(a.FarPort, pr.farSet, fmt.Sprintf("public far %v x IXP%d", pr.farAS, a.IXP)) == constrainConflict {
+		if st.constrain(a.FarPort, pr.farSet, reason{kind: reasonPublicFar, as: pr.farAS, ixp: a.IXP}) == constrainConflict {
 			st.noteAdjConflict(idx, 'f')
 		}
 		st.markQueried(a.FarPort, a.IXP)
 	case pr.farFoot.count() > 0:
 		if st.checkRemote(pr.farAS, a.IXP) == 1 {
 			st.remoteIface[a.FarPort] = true
-			if st.constrain(a.FarPort, pr.farFoot, fmt.Sprintf("remote member %v of IXP%d", pr.farAS, a.IXP)) == constrainConflict {
+			if st.constrain(a.FarPort, pr.farFoot, reason{kind: reasonRemoteMember, as: pr.farAS, ixp: a.IXP}) == constrainConflict {
 				st.noteAdjConflict(idx, 'f')
 			}
 		}
@@ -487,7 +551,7 @@ func (st *state) applyPrivate(idx int, a *Adjacency, pr adjProposal) {
 		// set is the pair's full co-presence list, never this single
 		// link's facility, because AS pairs interconnect in several
 		// metros and a narrower guess would collapse wrongly.
-		if st.constrain(a.Near, pr.nearSet, fmt.Sprintf("private pair %v x %v (far %v)", pr.nearAS, pr.farAS, a.Far)) == constrainConflict {
+		if st.constrain(a.Near, pr.nearSet, reason{kind: reasonPrivatePair, as: pr.nearAS, as2: pr.farAS, ip: a.Far}) == constrainConflict {
 			st.noteAdjConflict(idx, 'n')
 		}
 		a.Type = PrivateCrossConnect
@@ -543,30 +607,13 @@ func (st *state) setIntersection(set []netaddr.IP) facset {
 
 // aliasStepSets runs Step 3 — all interfaces of one router share a
 // facility, so their candidate sets intersect — over the multi-member
-// alias sets named by ascending indices into Sets.All. Alias sets
-// partition the pool, so the per-set intersections are independent:
-// with multiple workers they precompute in parallel over the index
-// list, and the constrain half applies them on the coordinator in set
-// order — identical to the serial interleaving because no set's
-// constraint can touch another set's members. Returns the number of
-// intersections recomputed.
+// alias sets named by ascending indices into Sets.All, in that order.
+// Returns the number of intersections recomputed.
 func (st *state) aliasStepSets(idxs []int) (recomputed int) {
 	sets := st.sets.All()
-	inters := make([]facset, len(idxs))
-	if w := st.p.cfg.workerCount(); w > 1 && len(idxs) >= minParallelSets {
-		parallelRanges(len(idxs), w, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				inters[i] = st.setIntersection(sets[idxs[i]])
-			}
-		})
-	} else {
-		for i, idx := range idxs {
-			inters[i] = st.setIntersection(sets[idx])
-		}
-	}
-	for i, idx := range idxs {
+	for _, idx := range idxs {
 		set := sets[idx]
-		inter := inters[i]
+		inter := st.setIntersection(set)
 		if inter.count() == 0 {
 			if inter != nil {
 				st.noteSetConflict(set[0])
@@ -580,7 +627,7 @@ func (st *state) aliasStepSets(idxs []int) (recomputed int) {
 			st.wl.applyingSet = idx
 		}
 		for _, ip := range set {
-			st.constrain(ip, inter, fmt.Sprintf("alias set of %v", set[0]))
+			st.constrain(ip, inter, reason{kind: reasonAliasSet, ip: set[0]})
 		}
 		if st.wl != nil {
 			st.wl.applyingSet = -1

@@ -50,11 +50,10 @@ func P2PPartner(ip netaddr.IP) netaddr.IP {
 // peer ASN — so both addresses get pinned owners that neither longest-
 // prefix matching nor alias repair may override.
 //
-// Sessions always fold in serially on the coordinator, after path
-// ingestion and before any parallel phase: they write the pinned
-// ownership map that worker-side classification and constraint
-// computation read, and later pins overwrite earlier ones, so listing
-// order is semantics.
+// Sessions fold in after path ingestion and before iteration 1: they
+// write the pinned ownership map that constraint computation reads,
+// and later pins overwrite earlier ones, so listing order is
+// semantics.
 func (st *state) processSession(s SessionObservation) int {
 	added := 0
 	st.pin(s.PeerIP, s.PeerAS)

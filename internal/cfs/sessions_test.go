@@ -127,7 +127,6 @@ func TestSessionZeroLocalIP(t *testing.T) {
 	}}
 	runEngine := func(setup func(*Pipeline)) *Result {
 		cfg := DefaultConfig()
-		cfg.Workers = 1
 		cfg.MaxIterations = 3
 		cfg.UseTargeted = false
 		cfg.UseAliasResolution = false

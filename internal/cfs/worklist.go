@@ -11,9 +11,9 @@ package cfs
 //   AS / IXP         → adjacencies constrained by its facility list
 //
 // — and dirty sets seeded by path ingestion. Each iteration pops only
-// the dirty adjacencies, recomputes their proposals (fanned out over
-// the Config.Workers pool), and re-enqueues dependents when constrain()
-// actually narrows a candidate set.
+// the dirty adjacencies, recomputes their proposals, and re-enqueues
+// dependents when constrain() actually narrows a candidate set. The
+// whole loop, measurements included, runs on one goroutine.
 //
 // Equivalence with the paper-literal loop is an invariant, not an
 // aspiration: the tests keep that loop as the rescan oracle
@@ -175,8 +175,7 @@ func (w *worklist) rebuildSets() {
 }
 
 // constraintPass pops the dirty adjacencies and reprocesses only them,
-// in ascending index order. Proposal computation fans out over the
-// worker pool; the apply half runs on the coordinator.
+// in ascending index order.
 func (w *worklist) constraintPass() (dirty, recomputed int) {
 	st := w.st
 	w.register()
@@ -190,22 +189,9 @@ func (w *worklist) constraintPass() (dirty, recomputed int) {
 	sort.Ints(idxs)
 	w.dirtyAdj = make(map[int]bool)
 
-	adjs := st.adjOrder
-	if wk := st.p.cfg.workerCount(); wk > 1 && len(idxs) >= minParallelAdjs {
-		proposals := make([]adjProposal, len(idxs))
-		parallelRanges(len(idxs), wk, func(_, lo, hi int) {
-			owner := st.readOnlyOwner()
-			for i := lo; i < hi; i++ {
-				proposals[i] = st.computeProposal(adjs[idxs[i]], owner.ownerOf)
-			}
-		})
-		for i, idx := range idxs {
-			st.applyProposal(idx, adjs[idx], proposals[i])
-		}
-		return len(idxs), len(idxs)
-	}
 	for _, idx := range idxs {
-		st.applyProposal(idx, adjs[idx], st.computeProposal(adjs[idx], st.ownerOf))
+		a := st.adjOrder[idx]
+		st.applyProposal(idx, a, st.computeProposal(a))
 	}
 	return len(idxs), len(idxs)
 }

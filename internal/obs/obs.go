@@ -18,8 +18,9 @@
 //   - Enabled means atomic. Counter and gauge updates are single
 //     atomic adds/stores; histograms are a fixed array of atomic
 //     buckets. The registry's mutex guards only handle registration
-//     (once per name), never the update path, so worker goroutines can
-//     bump shared counters without serialising.
+//     (once per name), never the update path, so concurrent goroutines
+//     (the daemon's request handlers) can bump shared counters without
+//     serialising.
 //
 // Observation never feeds back into inference: nothing in this package
 // is consulted by the CFS engines, so metrics-on and metrics-off runs
