@@ -62,7 +62,7 @@ func main() {
 		poll       = flag.Duration("poll", time.Second, "poll interval for -follow")
 		batch      = flag.Int("batch", 256, "max records per epoch when applying a -follow tail")
 		cacheSize  = flag.Int("cache", serve.DefaultCacheEntries, "epoch-cache entry bound (negative disables caching)")
-		timeout    = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request timeout; also the deadline for a request's headers")
+		timeout    = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request timeout; also the deadline for a request's headers and how long an idle keep-alive connection stays open")
 		inflight   = flag.Int("inflight", serve.DefaultMaxInFlight, "max concurrently executing requests (excess get 503)")
 		grace      = flag.Duration("grace", 10*time.Second, "shutdown grace for in-flight requests")
 	)
@@ -138,11 +138,12 @@ func main() {
 }
 
 // newHTTPServer builds the daemon's listener-side server. A request's
-// headers must arrive within the per-request timeout: without a
-// deadline, a client that trickles its request line holds a connection
-// and a goroutine forever.
+// headers must arrive within the per-request timeout, and a keep-alive
+// connection is closed once it has idled that long after a response:
+// without these deadlines, a client that trickles its request line or
+// never sends a next request holds a connection and a goroutine forever.
 func newHTTPServer(addr string, h http.Handler, timeout time.Duration) *http.Server {
-	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: timeout}
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: timeout, IdleTimeout: timeout}
 }
 
 func fatal(err error) {

@@ -28,8 +28,11 @@ type Prober struct {
 	rng  *rand.Rand
 	seed int64
 
-	clock   float64 // seconds since start
-	state   map[world.RouterID]*counterState
+	clock float64 // seconds since start
+	// state is each router's counter, indexed by RouterID. A zero rate
+	// marks a router whose counter has not been drawn yet: a drawn rate
+	// is at least 50.
+	state   []counterState
 	Probes  int
 	perTick float64
 }
@@ -46,7 +49,7 @@ func NewProber(w *world.World, seed int64) *Prober {
 		w:       w,
 		rng:     rand.New(rand.NewSource(seed)),
 		seed:    seed,
-		state:   make(map[world.RouterID]*counterState),
+		state:   make([]counterState, len(w.Routers)),
 		perTick: 0.005, // 5ms between probes
 	}
 	return p
@@ -65,17 +68,16 @@ func NewProber(w *world.World, seed int64) *Prober {
 func (p *Prober) ResetStream() {
 	p.rng = rand.New(rand.NewSource(p.seed))
 	p.clock = 0
-	p.state = make(map[world.RouterID]*counterState)
+	clear(p.state)
 }
 
+// counter returns r's counter state, drawing its base and rate at the
+// router's first shared-counter probe.
 func (p *Prober) counter(r world.RouterID) *counterState {
-	cs, ok := p.state[r]
-	if !ok {
-		cs = &counterState{
-			base: uint32(p.rng.Intn(1 << 16)),
-			rate: 50 + p.rng.Float64()*4950,
-		}
-		p.state[r] = cs
+	cs := &p.state[r]
+	if cs.rate == 0 {
+		cs.base = uint32(p.rng.Intn(1 << 16))
+		cs.rate = 50 + p.rng.Float64()*4950
 	}
 	return cs
 }
@@ -83,9 +85,14 @@ func (p *Prober) counter(r world.RouterID) *counterState {
 // Probe sends one IP-ID probe to ip. The returned value is the 16-bit
 // IP-ID of the reply; ok is false when the router does not answer.
 func (p *Prober) Probe(ip netaddr.IP) (uint16, bool) {
+	return p.probe(p.w.InterfaceByIP(ip))
+}
+
+// probe is Probe for an interface already looked up; nil is an address
+// on no interface, which never answers.
+func (p *Prober) probe(ifc *world.Interface) (uint16, bool) {
 	p.clock += p.perTick * (0.8 + 0.4*p.rng.Float64())
 	p.Probes++
-	ifc := p.w.InterfaceByIP(ip)
 	if ifc == nil {
 		return 0, false
 	}
@@ -179,17 +186,20 @@ func Resolve(p *Prober, ips []netaddr.IP) *Sets {
 	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 
 	// Stage 1: estimation. Probe each target and keep those with a
-	// usable monotonic counter, estimating its velocity.
+	// usable monotonic counter, estimating its velocity. Each target's
+	// interface is looked up once, here; every later probe reuses it.
 	type candidate struct {
 		ip  netaddr.IP
+		ifc *world.Interface
 		vel float64
 	}
 	var cands []candidate
 	for _, ip := range targets {
+		ifc := p.w.InterfaceByIP(ip)
 		var series [estimationProbes]sample
 		ok := true
 		for i := range series {
-			id, responded := p.Probe(ip)
+			id, responded := p.probe(ifc)
 			if !responded {
 				ok = false
 				break
@@ -203,7 +213,7 @@ func Resolve(p *Prober, ips []netaddr.IP) *Sets {
 		if !usable {
 			continue
 		}
-		cands = append(cands, candidate{ip, vel})
+		cands = append(cands, candidate{ip, ifc, vel})
 	}
 
 	// Stage 2: velocity sharding. Only pairs with compatible velocities
@@ -236,7 +246,7 @@ func Resolve(p *Prober, ips []netaddr.IP) *Sets {
 	// Stage 3: pairwise MBT within each shard, skipping pairs already
 	// joined transitively.
 	type edge struct {
-		a, b netaddr.IP
+		a, b *world.Interface // never nil: both ends answered
 		vel  float64
 	}
 	var passed []edge
@@ -251,8 +261,8 @@ func Resolve(p *Prober, ips []netaddr.IP) *Sets {
 				continue
 			}
 			v := (cands[i].vel + cands[j].vel) / 2
-			if monotonicBoundsTest(p, cands[i].ip, cands[j].ip, v) {
-				passed = append(passed, edge{cands[i].ip, cands[j].ip, v})
+			if monotonicBoundsTest(p, cands[i].ifc, cands[j].ifc, v) {
+				passed = append(passed, edge{cands[i].ifc, cands[j].ifc, v})
 				joined[key] = true
 			}
 		}
@@ -264,11 +274,11 @@ func Resolve(p *Prober, ips []netaddr.IP) *Sets {
 	// forever. An edge whose ends an earlier re-test already joined
 	// transitively is not re-tested.
 	for _, e := range passed {
-		if find(e.a) == find(e.b) {
+		if find(e.a.IP) == find(e.b.IP) {
 			continue // already corroborated transitively: skip the re-test
 		}
 		if monotonicBoundsTest(p, e.a, e.b, e.vel) {
-			union(e.a, e.b)
+			union(e.a.IP, e.b.IP)
 		}
 	}
 
@@ -337,19 +347,19 @@ func estimateVelocity(series []sample) (float64, bool) {
 	return total / elapsed, true
 }
 
-// monotonicBoundsTest interleaves probes between two addresses and
+// monotonicBoundsTest interleaves probes between two interfaces and
 // accepts them as aliases when every consecutive IP-ID delta is within
 // the bound implied by the estimated shared velocity. The samples live
 // in a fixed array: the test runs once per velocity-compatible pair, so
 // any allocation here is paid at every pair.
-func monotonicBoundsTest(p *Prober, a, b netaddr.IP, vel float64) bool {
+func monotonicBoundsTest(p *Prober, a, b *world.Interface, vel float64) bool {
 	var merged [mbtProbes]sample
 	for i := range merged {
-		ip := a
+		ifc := a
 		if i%2 == 1 {
-			ip = b
+			ifc = b
 		}
-		id, ok := p.Probe(ip)
+		id, ok := p.probe(ifc)
 		if !ok {
 			return false
 		}

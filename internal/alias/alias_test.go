@@ -206,19 +206,20 @@ func TestProbeAccounting(t *testing.T) {
 }
 
 // TestMonotonicBoundsTestAllocFree: the pairwise test keeps its samples
-// in a fixed array, so once both addresses' counter state exists a
-// call allocates nothing. It runs once per velocity-compatible pair.
+// in a fixed array and probes interfaces Resolve looked up once, so
+// once the router's counter is drawn a call allocates nothing. It runs
+// once per velocity-compatible pair.
 func TestMonotonicBoundsTestAllocFree(t *testing.T) {
 	w := world.Generate(world.Small())
 	p := NewProber(w, 3)
-	var a, b netaddr.IP
+	var a, b *world.Interface
 	for _, r := range w.Routers {
 		if r.IPID == world.IPIDSharedCounter && len(r.Interfaces) >= 2 {
-			a, b = w.Interfaces[r.Interfaces[0]].IP, w.Interfaces[r.Interfaces[1]].IP
+			a, b = w.Interfaces[r.Interfaces[0]], w.Interfaces[r.Interfaces[1]]
 			break
 		}
 	}
-	if a == 0 {
+	if a == nil {
 		t.Fatal("no shared-counter router with two interfaces in the small world")
 	}
 	probes := p.Probes

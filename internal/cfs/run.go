@@ -327,7 +327,7 @@ func (st *state) targetedRound(iter int) (followUps, newAdjs int) {
 			used[tgt] = true
 		}
 	}
-	st.origins = nil // built per round: see roundOrigins
+	st.origins, st.targets = nil, nil // built per round: see roundOrigins, targetAddress
 	return followUps, newAdjs
 }
 
@@ -425,20 +425,52 @@ func (st *state) pickTargets(ip netaddr.IP, a world.ASN, fa []world.FacilityID, 
 
 // targetAddress picks "one active IP per prefix" for a target AS: a
 // previously-observed interface when available, otherwise the first
-// host of its announced prefix.
+// host of its announced prefix. The observed interface is the first
+// non-IXP pool address the AS owns, read from the round's targetIndex.
 func (st *state) targetAddress(asn world.ASN) (netaddr.IP, bool) {
-	for _, ip := range st.pool {
-		if o, ok := st.ownerOf(ip); ok && o == asn {
-			if _, isIXP := st.p.db.IXPByIP(ip); !isIXP {
-				return ip, true
-			}
-		}
+	if st.targets == nil {
+		st.targets = &targetIndex{first: make(map[world.ASN]netaddr.IP)}
+	}
+	if ip, ok := st.targets.lookup(st, asn); ok {
+		return ip, true
 	}
 	prefixes := st.p.ipasn.PrefixesOf(asn)
 	if len(prefixes) == 0 {
 		return 0, false
 	}
 	return prefixes[0].Addr + 1, true
+}
+
+// targetIndex maps each AS to the first pool address, in pool order,
+// that it owns and that is not on an IXP LAN: the address a scan of
+// the pool would find. It lives for one targeted round. Within a round
+// no owner changes (alias rounds run before the constraint pass, and
+// pins come only from ingestion) and the pool only appends, so an entry
+// never goes stale; follow-up paths appended mid-round are folded in at
+// the next lookup.
+type targetIndex struct {
+	first   map[world.ASN]netaddr.IP
+	scanned int // st.pool entries folded into first
+}
+
+// lookup extends the index over the pool entries appended since the
+// previous call, then answers for asn.
+func (x *targetIndex) lookup(st *state, asn world.ASN) (netaddr.IP, bool) {
+	for ; x.scanned < len(st.pool); x.scanned++ {
+		ip := st.pool[x.scanned]
+		o, ok := st.ownerOf(ip)
+		if !ok {
+			continue
+		}
+		if _, seen := x.first[o]; seen {
+			continue
+		}
+		if _, isIXP := st.p.db.IXPByIP(ip); !isIXP {
+			x.first[o] = ip
+		}
+	}
+	ip, ok := x.first[asn]
+	return ip, ok
 }
 
 // vantagePoints selects sources for a follow-up: vantage points that

@@ -73,6 +73,9 @@ type state struct {
 	// pickTargets call and dropped when the round ends, so a registry
 	// delta between runs can never leave it stale.
 	origins []originAS
+	// targets answers targetAddress. Built on a targeted round's first
+	// call and dropped when the round ends, like origins.
+	targets *targetIndex
 	// picks is the list of scored targets pickTargets fills, reused
 	// across calls.
 	picks []scoredTarget

@@ -1153,8 +1153,11 @@ func TestWriterMetrics(t *testing.T) {
 	codes := make(chan int, len(batches))
 	for _, log := range batches {
 		log := log
+		// Read the depth before the POST starts: read after, it may
+		// already count this batch, and the wait would never end.
+		want := depth.Value() + 1
 		go func() { codes <- postDeltas(t, h, log).Code }()
-		for want := depth.Value() + 1; depth.Value() != want; {
+		for depth.Value() != want {
 			runtime.Gosched()
 		}
 	}

@@ -89,6 +89,10 @@ type Engine struct {
 	// (see fastrng.go). Reuse is safe because measurements never
 	// interleave on the single-goroutine engine.
 	mr mrand
+	// hops is TracerouteFlow's hop buffer, reused like mr. Each returned
+	// Path gets its own exact-length copy: the retained corpus keeps
+	// every path, so no path may alias the buffer.
+	hops []Hop
 
 	m engineMetrics
 }
@@ -364,18 +368,25 @@ func (e *Engine) Traceroute(srcRouter world.RouterID, dst netaddr.IP) Path {
 func (e *Engine) TracerouteFlow(srcRouter world.RouterID, dst netaddr.IP, flow uint32) Path {
 	e.ledger.book(1, e.m.traceroutes)
 	rng := e.measurementRNG(srcRouter, dst, e.ledger.nextSeq())
-	p := Path{SrcRouter: srcRouter, Dst: dst}
-	defer e.recordTraceroute(&p, flow)
+	e.hops = e.hops[:0]
+	reached := e.walk(srcRouter, dst, flow, rng)
+	p := Path{SrcRouter: srcRouter, Dst: dst, Hops: append([]Hop(nil), e.hops...), Reached: reached}
+	e.recordTraceroute(&p, flow)
+	return p
+}
 
+// walk simulates one traceroute into e.hops and reports whether the
+// destination itself replied.
+func (e *Engine) walk(srcRouter world.RouterID, dst netaddr.IP, flow uint32, rng *mrand) (reached bool) {
 	dstRtr, reachable := e.resolveDst(dst)
 	if dstRtr == world.RouterID(world.None) {
-		return p
+		return false
 	}
 	srcAS := e.w.Routers[srcRouter].AS
 	dstAS := e.w.Routers[dstRtr].AS
 	asPath, ok := e.rt.ASPath(srcAS, dstAS)
 	if !ok {
-		return p
+		return false
 	}
 
 	cum := time.Duration(0) // one-way accumulated propagation
@@ -389,10 +400,10 @@ func (e *Engine) TracerouteFlow(srcRouter world.RouterID, dst netaddr.IP, flow u
 			rtt += congestionSpike(rng)
 		}
 		if !router.RespondsToTraceroute {
-			p.Hops = append(p.Hops, Hop{})
+			e.hops = append(e.hops, Hop{})
 			return
 		}
-		p.Hops = append(p.Hops, Hop{IP: ip, RTT: rtt, Responded: true})
+		e.hops = append(e.hops, Hop{IP: ip, RTT: rtt, Responded: true})
 	}
 
 	cur := srcRouter
@@ -405,7 +416,7 @@ func (e *Engine) TracerouteFlow(srcRouter world.RouterID, dst netaddr.IP, flow u
 		curAS, nextAS := asPath[i], asPath[i+1]
 		l := e.selectLink(cur, curAS, nextAS, flow)
 		if l == nil {
-			return p // routing said adjacent but no link: give up
+			return false // routing said adjacent but no link: give up
 		}
 		near := l.A
 		if e.w.Routers[l.A].AS != curAS {
@@ -438,7 +449,7 @@ func (e *Engine) TracerouteFlow(srcRouter world.RouterID, dst netaddr.IP, flow u
 		if e.w.Routers[cur].AS == dstAS {
 			cur = dstRtr
 		} else {
-			return p
+			return false
 		}
 	}
 	if reachable {
@@ -450,14 +461,13 @@ func (e *Engine) TracerouteFlow(srcRouter world.RouterID, dst netaddr.IP, flow u
 		}
 		// Destinations answer echo requests even when their router
 		// drops time-exceeded generation.
-		p.Hops = append(p.Hops, Hop{IP: dst, RTT: rtt, Responded: true})
-		p.Reached = true
+		e.hops = append(e.hops, Hop{IP: dst, RTT: rtt, Responded: true})
 	}
-	return p
+	return reachable
 }
 
 // recordTraceroute books a finished traceroute's hop mix into the obs
-// counters and the event trace.
+// counters and, when a tracer is installed, the event trace.
 func (e *Engine) recordTraceroute(p *Path, flow uint32) {
 	silent, responsive := 0, 0
 	for _, h := range p.Hops {
@@ -471,6 +481,9 @@ func (e *Engine) recordTraceroute(p *Path, flow uint32) {
 	e.m.responsiveHops.Add(int64(responsive))
 	if !p.Reached {
 		e.m.unreachable.Inc()
+	}
+	if e.m.tracer == nil {
+		return
 	}
 	e.m.tracer.Emit("measurement",
 		obs.F("probe", "traceroute"),
@@ -492,14 +505,16 @@ func (e *Engine) recordTraceroute(p *Path, flow uint32) {
 // accounting).
 func (e *Engine) Ping(srcRouter world.RouterID, dst netaddr.IP, count int) (rtt time.Duration, ok bool) {
 	e.ledger.book(count, e.m.pings)
-	defer func() {
-		e.m.tracer.Emit("measurement",
-			obs.F("probe", "ping"),
-			obs.F("src_router", int(srcRouter)),
-			obs.F("dst", dst.String()),
-			obs.F("count", count),
-			obs.F("answered", ok))
-	}()
+	if e.m.tracer != nil {
+		defer func() {
+			e.m.tracer.Emit("measurement",
+				obs.F("probe", "ping"),
+				obs.F("src_router", int(srcRouter)),
+				obs.F("dst", dst.String()),
+				obs.F("count", count),
+				obs.F("answered", ok))
+		}()
+	}
 	dstRtr, reachable := e.resolveDst(dst)
 	if !reachable {
 		e.m.unreachable.Add(int64(count))
@@ -574,11 +589,13 @@ func (e *Engine) FabricPing(src world.RouterID, port netaddr.IP, count int) (tim
 		return 0, false
 	}
 	e.ledger.book(count, e.m.fabricPings)
-	e.m.tracer.Emit("measurement",
-		obs.F("probe", "fabric_ping"),
-		obs.F("src_router", int(src)),
-		obs.F("dst", port.String()),
-		obs.F("count", count))
+	if e.m.tracer != nil {
+		e.m.tracer.Emit("measurement",
+			obs.F("probe", "fabric_ping"),
+			obs.F("src_router", int(src)),
+			obs.F("dst", port.String()),
+			obs.F("count", count))
+	}
 	// Transport over the fabric: reseller circuits for remote members
 	// stretch roughly the geographic distance between the routers.
 	oneWay := geo.PropagationDelay(e.w.Routers[src].Coord, e.w.Routers[ifc.Router].Coord)
