@@ -34,9 +34,11 @@ test:
 # detector: both run on one goroutine, and the detector keeps them that
 # way while the daemon applies epochs on its writer goroutine.
 # internal/serve rides along: its epoch-consistency test races
-# concurrent queries against live Apply batches.
+# concurrent queries against live Apply batches. So does cmd/cfsd,
+# whose listener tests run a real server's goroutines against the
+# request deadlines.
 race:
-	go test -race ./internal/cfs/... ./internal/trace/... ./internal/serve/...
+	go test -race ./internal/cfs/... ./internal/trace/... ./internal/serve/... ./cmd/cfsd/
 
 # Engine benchmark harness: times the CFS core (observability off and
 # on) and writes machine-readable BENCH_cfs.json — ns/op, probes

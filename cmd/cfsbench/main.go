@@ -23,25 +23,11 @@
 // overwritten): with -max-regress R, the run fails when the worklist
 // engine's ns_per_op exceeds the baseline by more than the fraction R.
 //
-// -serve adds the daemon scenario: the query API's request mix (snapshot
-// digests, interface lookups, AS-pair queries) against one converged,
-// materialized system, measured cold (epoch cache disabled — every
-// query renders from the snapshot's swap-time tables) and hot (cache
-// warmed — every query is an epoch-keyed hit). serve_speedup_x is the
-// cold/hot ratio and -min-serve-speedup gates it;
-// serve_hot_allocs_per_query is the steady-state allocation cost gated
-// by -max-hot-allocs. The same run times the bulk shapes: one
-// /v1/interfaces:batch POST against the per-request loop of the same
-// lookups (serve_batch_amortization_x, gated by -min-batch-amortization)
-// and the /v1/interfaces/stream dump per emitted record
-// (serve_stream_ns_per_if). With -baseline, serve_cold_ns_per_query is
-// regression-gated alongside worklist ns_per_op.
-//
 // Usage:
 //
 //	cfsbench [-profile small|medium|default|paper|large] [-seed N] [-runs N]
 //	         [-out FILE] [-max-overhead X] [-baseline FILE] [-max-regress R]
-//	         [-incremental N] [-serve]
+//	         [-incremental N]
 package main
 
 import (
@@ -104,29 +90,6 @@ type report struct {
 	IncrementalSpeedupX   float64 `json:"incremental_speedup_x,omitempty"`
 	IncrementalRecomputed int64   `json:"incremental_recomputed_per_op,omitempty"`
 	FreshRecomputed       int64   `json:"fresh_recomputed,omitempty"`
-
-	// The -serve scenario: the daemon's query path, cold (epoch cache
-	// disabled, every query renders from the snapshot's materialized
-	// tables) vs hot (cache warmed, every query hits its epoch entry),
-	// over the same request mix. ServeSpeedupX = cold/hot, gated by
-	// -min-serve-speedup; ServeHotAllocsPerQuery is the heap-allocation
-	// cost of one steady-state query, gated by -max-hot-allocs.
-	ServeQueries           int     `json:"serve_queries,omitempty"`
-	ServeColdNsPerQuery    int64   `json:"serve_cold_ns_per_query,omitempty"`
-	ServeHotNsPerQuery     int64   `json:"serve_hot_ns_per_query,omitempty"`
-	ServeSpeedupX          float64 `json:"serve_speedup_x,omitempty"`
-	ServeHotAllocsPerQuery float64 `json:"serve_hot_allocs_per_query,omitempty"`
-
-	// The bulk query shapes over the same hot server: one
-	// /v1/interfaces:batch POST of ServeBatchSize addresses against the
-	// per-request loop of the same lookups (amortization gated by
-	// -min-batch-amortization), and the /v1/interfaces/stream NDJSON
-	// dump timed per emitted record.
-	ServeBatchSize          int     `json:"serve_batch_size,omitempty"`
-	ServeBatchNsPerQuery    int64   `json:"serve_batch_ns_per_query,omitempty"`
-	ServeBatchAmortizationX float64 `json:"serve_batch_amortization_x,omitempty"`
-	ServeStreamInterfaces   int     `json:"serve_stream_interfaces,omitempty"`
-	ServeStreamNsPerIf      int64   `json:"serve_stream_ns_per_if,omitempty"`
 }
 
 // worklistLabel names the report's engines entry, here and in the
@@ -162,11 +125,6 @@ func main() {
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the timed runs to this file")
 		incremental = flag.Int("incremental", 0, "also benchmark delta re-convergence: apply this many single-AS facility deltas to a converged pipeline (0 = skip)")
 		minIncSpeed = flag.Float64("min-incremental-speedup", 0, "fail when fresh/incremental wall-time ratio falls below this (0 = no gate)")
-		serveBench  = flag.Bool("serve", false, "also benchmark the daemon's query path: hot (epoch cache) vs cold (render per query), plus the batch and stream shapes")
-		serveQs     = flag.Int("serve-queries", 512, "request-mix size for -serve")
-		minServeSp  = flag.Float64("min-serve-speedup", 0, "fail when the -serve cold/hot ratio falls below this (0 = no gate)")
-		minBatchAm  = flag.Float64("min-batch-amortization", 0, "fail when the -serve batch/per-request amortization falls below this (0 = no gate)")
-		maxHotAlloc = flag.Float64("max-hot-allocs", 0, "fail when the -serve hot path allocates more than this per query (0 = no gate)")
 	)
 	flag.Parse()
 
@@ -239,18 +197,6 @@ func main() {
 			rep.IncrementalNsPerOp, rep.FreshNsPerOp, rep.IncrementalSpeedupX,
 			rep.IncrementalRecomputed, rep.FreshRecomputed)
 	}
-	if *serveBench {
-		if err := measureServe(&rep, *profile, *seed, *serveQs, *runs); err != nil {
-			fmt.Fprintf(os.Stderr, "cfsbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("serve     %12d ns/query(cold)  %8d ns/query(hot)  %.1fx cache speedup  %.2f allocs/query over %d queries\n",
-			rep.ServeColdNsPerQuery, rep.ServeHotNsPerQuery, rep.ServeSpeedupX,
-			rep.ServeHotAllocsPerQuery, rep.ServeQueries)
-		fmt.Printf("serve     %12d ns/query(batch of %d)  %.1fx amortization  %8d ns/if(stream of %d)\n",
-			rep.ServeBatchNsPerQuery, rep.ServeBatchSize, rep.ServeBatchAmortizationX,
-			rep.ServeStreamNsPerIf, rep.ServeStreamInterfaces)
-	}
 	rep.PeakRSSBytes = peakRSS()
 
 	f, err := os.Create(*out)
@@ -279,27 +225,6 @@ func main() {
 		if rep.IncrementalSpeedupX < *minIncSpeed {
 			fmt.Fprintf(os.Stderr, "cfsbench: incremental speedup %.2fx below gate %.2fx\n",
 				rep.IncrementalSpeedupX, *minIncSpeed)
-			os.Exit(1)
-		}
-	}
-	if *minServeSp > 0 {
-		if rep.ServeSpeedupX < *minServeSp {
-			fmt.Fprintf(os.Stderr, "cfsbench: serve cache speedup %.2fx below gate %.2fx\n",
-				rep.ServeSpeedupX, *minServeSp)
-			os.Exit(1)
-		}
-	}
-	if *minBatchAm > 0 {
-		if rep.ServeBatchAmortizationX < *minBatchAm {
-			fmt.Fprintf(os.Stderr, "cfsbench: batch amortization %.2fx below gate %.2fx\n",
-				rep.ServeBatchAmortizationX, *minBatchAm)
-			os.Exit(1)
-		}
-	}
-	if *maxHotAlloc > 0 && *serveBench {
-		if rep.ServeHotAllocsPerQuery > *maxHotAlloc {
-			fmt.Fprintf(os.Stderr, "cfsbench: hot path allocates %.2f per query, gate %.2f\n",
-				rep.ServeHotAllocsPerQuery, *maxHotAlloc)
 			os.Exit(1)
 		}
 	}
@@ -420,19 +345,6 @@ func checkRegression(base, fresh *report, frac float64) error {
 	if ratio > 1+frac {
 		return fmt.Errorf("worklist ns_per_op regressed %.0f%% (gate %.0f%%): %d -> %d",
 			(ratio-1)*100, frac*100, b.NsPerOp, f.NsPerOp)
-	}
-	// The serving cold path is gated the same way when both reports
-	// measured it: a render-per-query regression means per-request work
-	// crept back onto the hot path (the swap-time materialization
-	// contract).
-	if base.ServeColdNsPerQuery > 0 && fresh.ServeColdNsPerQuery > 0 {
-		ratio := float64(fresh.ServeColdNsPerQuery) / float64(base.ServeColdNsPerQuery)
-		fmt.Printf("serve cold ns/query vs baseline: %d -> %d (%.2fx)\n",
-			base.ServeColdNsPerQuery, fresh.ServeColdNsPerQuery, ratio)
-		if ratio > 1+frac {
-			return fmt.Errorf("serve_cold_ns_per_query regressed %.0f%% (gate %.0f%%): %d -> %d",
-				(ratio-1)*100, frac*100, base.ServeColdNsPerQuery, fresh.ServeColdNsPerQuery)
-		}
 	}
 	return nil
 }

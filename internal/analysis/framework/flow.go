@@ -744,8 +744,8 @@ func DirectChildren(n ast.Node) []ast.Node {
 // HotpathFuncs returns every function declaration marked with a
 // //cfslint:hotpath directive — in its doc comment or on the line
 // directly above the declaration. The marker attaches the hotalloc
-// allocation budget to exactly the functions the cfsbench
-// -max-hot-allocs gate measures.
+// allocation budget to exactly the functions internal/serve's
+// TestCachedRouteAllocs measures.
 func HotpathFuncs(fset *token.FileSet, files []*ast.File) []*ast.FuncDecl {
 	marked := make(map[string]map[int]bool) // file -> line of a hotpath directive
 	for _, f := range files {

@@ -1,8 +1,9 @@
-// Package hotalloc turns the cfsbench -max-hot-allocs gate from a
-// "what regressed" number into a "which line" diagnostic. A function
-// marked //cfslint:hotpath (the dispatch, epoch-cache and blob-table
-// paths the serving benchmark holds to ≤2 allocations per query)
-// rejects the constructs that put allocations back on the hot path:
+// Package hotalloc turns internal/serve's exact allocation test
+// (TestCachedRouteAllocs) from a "what regressed" number into a "which
+// line" diagnostic. A function marked //cfslint:hotpath (the dispatch,
+// epoch-cache and blob-table paths that test holds to zero or a few
+// fixed allocations per cached request) rejects the constructs that put
+// allocations back on the hot path:
 //
 //   - fmt.Sprintf / Sprint / Sprintln / Errorf — always allocate, and
 //     box every operand on the way in;
@@ -18,7 +19,7 @@
 // The marker lives in the directive machinery (framework.HotpathFuncs)
 // so the directives validator rejects a hotpath comment that floats
 // away from a function declaration, and so coverage stays exactly the
-// set of functions the bench gate measures.
+// set of functions the allocation test measures.
 package hotalloc
 
 import (

@@ -109,6 +109,7 @@ func FuzzDispatch(f *testing.F) {
 		{"GET", "/v1/deltas", ""},
 		{"GET", "/nope", ""},
 		{"", "", ""},
+		{"POST", "/v1/interfaces/stream", ""},
 	} {
 		f.Add(seed[0], seed[1], seed[2])
 	}

@@ -64,18 +64,21 @@ const (
 // Options configures a Server. The zero value is usable: every field
 // has a default, and a nil Obs disables metrics at zero cost.
 type Options struct {
-	// RequestTimeout bounds each request end to end (default 5s;
-	// negative disables the timeout handler). The stream endpoint is
-	// exempt: its response is written incrementally and its size scales
-	// with the snapshot, so it is bounded by write progress, not wall
-	// time.
+	// RequestTimeout bounds the two places a request can wait inside
+	// the server (default 5s; negative disables both): a POST
+	// /v1/deltas waiting for the writer to publish its batch answers 503
+	// at this deadline, and the stream gives each chunk of its dump this
+	// long to be written, so a dump of any size completes while its
+	// reader keeps reading. Reading a request and writing any other
+	// response are bounded on the connection, by the listener's
+	// http.Server (cmd/cfsd sets its timeouts from the same flag).
 	RequestTimeout time.Duration
 	// MaxInFlight bounds concurrently executing handlers; excess
 	// requests are rejected with 503 rather than queued (default 64).
 	MaxInFlight int
 	// CacheEntries bounds the epoch cache (default 4096; negative
 	// disables caching entirely — every query renders from the
-	// snapshot, the cold-path cfsbench -serve measures).
+	// snapshot).
 	CacheEntries int
 	// Obs receives request counts, latency histograms, cache hit/miss
 	// counters, the writer's apply-time histograms, queue depth and
@@ -97,11 +100,10 @@ type routeObs struct {
 // with New, start the writer loop with Run (required for POST
 // /v1/deltas and Follow), and mount Handler on an http.Server.
 type Server struct {
-	sys     *facilitymap.System
-	opt     Options
-	cache   *epochCache // nil when caching is disabled
-	handler http.Handler
-	now     func() time.Time
+	sys   *facilitymap.System
+	opt   Options
+	cache *epochCache // nil when caching is disabled
+	now   func() time.Time
 
 	// Per-route handlers, wrapped once at New with the concurrency
 	// bound and metrics. Routing is hand-rolled in dispatch: stdlib
@@ -111,7 +113,6 @@ type Server struct {
 	// budget.
 	hInterface, hIxn, hSnapshot, hMetrics http.Handler
 	hDeltas, hBatch, hStream              http.Handler
-	inner                                 http.Handler // dispatch, timeout-wrapped
 
 	// hdr caches the current epoch's pre-built X-CFS-Epoch header
 	// value, so stamping a hot response assigns a shared slice instead
@@ -211,21 +212,6 @@ func New(sys *facilitymap.System, opt Options) *Server {
 	s.hDeltas = s.route("deltas", s.handleDeltas)
 	s.hBatch = s.route("batch", s.handleBatch)
 	s.hStream = s.route("stream", s.handleStream)
-	var h http.Handler = http.HandlerFunc(s.dispatch)
-	if opt.RequestTimeout > 0 {
-		h = http.TimeoutHandler(h, opt.RequestTimeout, `{"error":"request timed out"}`)
-	}
-	s.inner = h
-	// The stream dump bypasses the timeout handler (which buffers the
-	// whole response in memory until the handler returns — the opposite
-	// of streaming); it still honors the concurrency bound.
-	s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/interfaces/stream" {
-			serveMethod(w, r, http.MethodGet, s.hStream)
-			return
-		}
-		s.inner.ServeHTTP(w, r)
-	})
 	return s
 }
 
@@ -251,6 +237,8 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
 		serveMethod(w, r, http.MethodPost, s.hDeltas)
 	case path == "/v1/interfaces:batch":
 		serveMethod(w, r, http.MethodPost, s.hBatch)
+	case path == "/v1/interfaces/stream":
+		serveMethod(w, r, http.MethodGet, s.hStream)
 	default:
 		writeError(w, http.StatusNotFound, "no such route")
 	}
@@ -265,9 +253,12 @@ func serveMethod(w http.ResponseWriter, r *http.Request, method string, h http.H
 	h.ServeHTTP(w, r)
 }
 
-// Handler returns the fully wired HTTP handler (routing, concurrency
-// bound, per-request timeout, instrumentation).
-func (s *Server) Handler() http.Handler { return s.handler }
+// Handler returns the server's one request path: dispatch, which sends
+// every route, the stream included, through the concurrency bound and
+// per-route metrics. It sets no deadline beyond the two waits
+// Options.RequestTimeout bounds; the listener's http.Server bounds
+// reading each request and writing every other response.
+func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.dispatch) }
 
 // Done is closed when the writer loop has exited (after draining).
 func (s *Server) Done() <-chan struct{} { return s.done }
@@ -602,11 +593,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 
 	buf := make([]byte, 0, 64<<10)
-	failed := false
+	var err error
 	m.EachInterfaceJSON(func(rec []byte) bool {
 		if len(buf) > 0 && len(buf)+len(rec)+1 > cap(buf) {
-			if _, err := w.Write(buf); err != nil {
-				failed = true
+			if err = s.writeChunk(w, buf); err != nil {
 				return false
 			}
 			buf = buf[:0]
@@ -615,14 +605,40 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		buf = append(buf, '\n')
 		return true
 	})
-	if !failed && len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			failed = true
-		}
+	if err == nil && len(buf) > 0 {
+		err = s.writeChunk(w, buf)
 	}
-	if failed {
+	if err != nil {
 		ro.errors.Inc()
 	}
+}
+
+// writeChunk writes one chunk of the stream after giving the connection
+// RequestTimeout to take it. A dump's size scales with the snapshot, so
+// no single deadline fits it; per chunk, a reader that stops reading
+// fails the stream at the next deadline instead of holding its handler.
+func (s *Server) writeChunk(w http.ResponseWriter, b []byte) error {
+	if t := s.opt.RequestTimeout; t > 0 {
+		//cfslint:ignore noclock a connection deadline is wall time by definition; it bounds a write, never an inference
+		if err := setWriteDeadline(w, time.Now().Add(t)); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// setWriteDeadline moves the write deadline of w's connection to d. A
+// writer without a connection (httptest's recorder, an in-process
+// harness) has no deadline to move, so http.ErrNotSupported is no
+// error. net/http clears the deadline once the request is finished, so
+// it never carries over to the next request on a keep-alive connection.
+func setWriteDeadline(w http.ResponseWriter, d time.Time) error {
+	err := http.NewResponseController(w).SetWriteDeadline(d)
+	if errors.Is(err, http.ErrNotSupported) {
+		return nil
+	}
+	return err
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -655,19 +671,32 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	ctx := r.Context()
+	if t := s.opt.RequestTimeout; t > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, t)
+		defer cancel()
+		// The listener set this response's write deadline when it read the
+		// headers, so a wait this long ends past it. Move the deadline one
+		// RequestTimeout beyond the wait, or the 503 a timed-out wait
+		// answers could not be written. A connection that refuses the
+		// deadline fails that write too, so its error adds nothing.
+		dl, _ := ctx.Deadline()
+		_ = setWriteDeadline(w, dl.Add(t))
+	}
 	// An empty batch is a heartbeat: it still publishes a fresh epoch
 	// (the facade pins this), which the smoke test leans on.
-	m, err := s.enqueue(r.Context(), log)
+	m, err := s.enqueue(ctx, log)
 	if err != nil {
 		ro.errors.Inc()
-		status := http.StatusUnprocessableEntity
+		status, msg := http.StatusUnprocessableEntity, err.Error()
 		switch {
-		case r.Context().Err() != nil:
-			status = http.StatusServiceUnavailable
+		case ctx.Err() != nil:
+			status, msg = http.StatusServiceUnavailable, "request timed out"
 		case errors.Is(err, delta.ErrUnknownFacility):
 			status = http.StatusBadRequest
 		}
-		writeError(w, status, err.Error())
+		writeError(w, status, msg)
 		return
 	}
 	body, _ := json.Marshal(deltasResponse{Epoch: m.Epoch(), Applied: len(log)})

@@ -510,6 +510,177 @@ func TestStreamEndpoint(t *testing.T) {
 	}
 }
 
+// TestStreamOnDispatch: the stream is one more dispatch route, with no
+// path of its own around it, so dispatch answers it and refuses any
+// method but GET.
+func TestStreamOnDispatch(t *testing.T) {
+	sys := smallSystem(t)
+	sys.MapInterconnections()
+	s := startServer(t, sys, Options{})
+	for _, tc := range []struct {
+		method string
+		want   int
+	}{{http.MethodGet, http.StatusOK}, {http.MethodPost, http.StatusMethodNotAllowed}} {
+		rec := httptest.NewRecorder()
+		s.dispatch(rec, httptest.NewRequest(tc.method, "/v1/interfaces/stream", nil))
+		if rec.Code != tc.want {
+			t.Errorf("%s /v1/interfaces/stream through dispatch: status %d, want %d", tc.method, rec.Code, tc.want)
+		}
+	}
+}
+
+// deadlineWriter is a ResponseWriter with a connection's write
+// deadline: it records every SetWriteDeadline call and checks, at each
+// Write, that exactly one call since the previous Write (or since the
+// writer was made) set a deadline at least timeout after that point.
+type deadlineWriter struct {
+	hdr     http.Header
+	body    bytes.Buffer
+	timeout time.Duration
+
+	last       time.Time // when the previous Write returned
+	pending    []time.Time
+	extensions int
+	writes     int
+	bad        []string
+}
+
+func newDeadlineWriter(timeout time.Duration) *deadlineWriter {
+	return &deadlineWriter{hdr: make(http.Header), timeout: timeout, last: time.Now()}
+}
+
+func (w *deadlineWriter) Header() http.Header { return w.hdr }
+func (w *deadlineWriter) WriteHeader(int)     {}
+
+func (w *deadlineWriter) SetWriteDeadline(d time.Time) error {
+	w.pending = append(w.pending, d)
+	w.extensions++
+	return nil
+}
+
+func (w *deadlineWriter) Write(b []byte) (int, error) {
+	w.writes++
+	switch {
+	case w.timeout <= 0:
+		if len(w.pending) > 0 {
+			w.bad = append(w.bad, fmt.Sprintf("write %d: %d deadlines set with no timeout", w.writes, len(w.pending)))
+		}
+	case len(w.pending) != 1:
+		w.bad = append(w.bad, fmt.Sprintf("write %d: %d deadlines set before it, want 1", w.writes, len(w.pending)))
+	case w.pending[0].Sub(w.last) < w.timeout:
+		w.bad = append(w.bad, fmt.Sprintf("write %d: deadline %v after the previous write, want at least %v",
+			w.writes, w.pending[0].Sub(w.last), w.timeout))
+	}
+	w.pending = w.pending[:0]
+	n, err := w.body.Write(b)
+	w.last = time.Now()
+	return n, err
+}
+
+// TestStreamChunkDeadlines: with a request timeout the stream moves its
+// connection's write deadline at least that far ahead before every
+// chunk it writes, so a reader that keeps reading gets a dump of any
+// size while one that stops fails at the next deadline; with the
+// timeout disabled it sets none.
+func TestStreamChunkDeadlines(t *testing.T) {
+	sys := smallSystem(t)
+	m := sys.MapInterconnections()
+	for _, timeout := range []time.Duration{DefaultRequestTimeout, -1} {
+		s := startServer(t, sys, Options{RequestTimeout: timeout})
+		w := newDeadlineWriter(timeout)
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/interfaces/stream", nil))
+		if lines := bytes.Count(w.body.Bytes(), []byte("\n")); lines != len(m.Interfaces()) {
+			t.Fatalf("timeout %v: stream wrote %d lines, want %d", timeout, lines, len(m.Interfaces()))
+		}
+		if w.writes < 2 {
+			t.Fatalf("timeout %v: stream wrote %d chunks; the test needs several", timeout, w.writes)
+		}
+		for _, msg := range w.bad {
+			t.Errorf("timeout %v: %s", timeout, msg)
+		}
+		want := w.writes
+		if timeout < 0 {
+			want = 0
+		}
+		if w.extensions != want {
+			t.Errorf("timeout %v: %d deadlines set for %d chunks, want %d", timeout, w.extensions, w.writes, want)
+		}
+	}
+}
+
+// memWriter is a reusable ResponseWriter for allocation counts: reset
+// clears its header map, keeping the map, as net/http does between the
+// requests of one connection.
+type memWriter struct {
+	hdr  http.Header
+	code int
+}
+
+func (w *memWriter) Header() http.Header         { return w.hdr }
+func (w *memWriter) WriteHeader(code int)        { w.code = code }
+func (w *memWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *memWriter) reset()                      { clear(w.hdr); w.code = 0 }
+
+// TestCachedRouteAllocs pins the heap allocations of a cached request
+// through the whole handler, exactly. The interface and snapshot routes
+// allocate nothing. The AS-pair route allocates its cache key. A batch
+// allocates its body reader, the body (one io.ReadAll buffer while the
+// body is under 512 bytes) and its cache key: the same three for one
+// address or 32, since a repeated batch is a cache hit that never
+// re-parses the JSON, which would cost at least one allocation per
+// address.
+func TestCachedRouteAllocs(t *testing.T) {
+	sys := smallSystem(t)
+	m := sys.MapInterconnections()
+	s := startServer(t, sys, Options{})
+	h := s.Handler()
+	ips, pairs := sampleQueries(m, 64, 1)
+	if len(ips) < 32 || len(pairs) == 0 {
+		t.Fatalf("sampled %d addresses and %d AS pairs, want 32 and 1", len(ips), len(pairs))
+	}
+	batch := func(n int) string {
+		b, _ := json.Marshal(ips[:n])
+		if len(b) >= 512 {
+			t.Fatalf("a batch of %d addresses is %d bytes; it must fit io.ReadAll's first 512-byte buffer", n, len(b))
+		}
+		return string(b)
+	}
+	w := &memWriter{hdr: make(http.Header)}
+	for _, tc := range []struct {
+		name   string
+		method string
+		target string
+		body   string
+		allocs float64
+	}{
+		{"interface", http.MethodGet, "/v1/interface/" + ips[0], "", 0},
+		{"snapshot", http.MethodGet, "/v1/snapshot", "", 0},
+		{"interconnections", http.MethodGet, fmt.Sprintf("/v1/interconnections?a=%d&b=%d", pairs[0][0], pairs[0][1]), "", 1},
+		{"batch of 1", http.MethodPost, "/v1/interfaces:batch", batch(1), 3},
+		{"batch of 32", http.MethodPost, "/v1/interfaces:batch", batch(32), 3},
+	} {
+		body := strings.NewReader(tc.body)
+		r := httptest.NewRequest(tc.method, tc.target, body)
+		request := func() {
+			body.Reset(tc.body)
+			w.reset()
+			h.ServeHTTP(w, r)
+		}
+		request() // the miss that fills the cache
+		if w.code != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.name, w.code)
+		}
+		hits := s.hits.Value()
+		got := testing.AllocsPerRun(2000, request)
+		if w.code != http.StatusOK || s.hits.Value() == hits {
+			t.Fatalf("%s: status %d, %d cache hits; the count must be of cached requests", tc.name, w.code, s.hits.Value()-hits)
+		}
+		if got != tc.allocs {
+			t.Errorf("%s: %v allocations per cached request, want %v", tc.name, got, tc.allocs)
+		}
+	}
+}
+
 // TestDeltaIngestion drives POST /v1/deltas: the epoch advances, the
 // response names it, the cache is invalidated wholesale, and a
 // malformed body is rejected without touching the system.
@@ -976,6 +1147,45 @@ func TestFollowTail(t *testing.T) {
 	}
 }
 
+// TestFollowCapsUnterminatedLine: a followed log that grows past
+// maxFollowLine without a newline (a wrong path, or a writer that died
+// mid-record) costs one bad line, counted as soon as the line passes
+// the cap rather than when its newline arrives, and the tail skips the
+// rest of it. The record after its newline applies.
+func TestFollowCapsUnterminatedLine(t *testing.T) {
+	sys := smallSystem(t)
+	sys.MapInterconnections()
+	s := startServer(t, sys, Options{})
+
+	path := t.TempDir() + "/churn.jsonl"
+	ctx, cancel := context.WithCancel(context.Background())
+	followDone := make(chan error, 1)
+	go func() { followDone <- s.Follow(ctx, path, 5*time.Millisecond, 256) }()
+	defer func() {
+		cancel()
+		if err := <-followDone; err != context.Canceled {
+			t.Errorf("Follow returned %v, want context.Canceled", err)
+		}
+	}()
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: bad lines %d, epoch %d", what, s.followBad.Value(), sys.Current().Epoch())
+			}
+		}
+	}
+
+	appendFile(t, path, bytes.Repeat([]byte("x"), maxFollowLine+1))
+	waitFor("an unterminated line past the cap was never counted", func() bool { return s.followBad.Value() == 1 })
+	appendFile(t, path, bytes.Repeat([]byte("y"), followChunk+1))
+	appendFile(t, path, []byte("\n"+`{"kind":"session_down","peer_ip":"10.9.9.9","peer_as":64999}`+"\n"))
+	waitFor("the record after the overlong line never applied", func() bool { return sys.Current().Epoch() == 1 })
+	if got := s.followBad.Value(); got != 1 {
+		t.Fatalf("bad-line counter %d after one overlong line, want 1", got)
+	}
+}
+
 // TestNoGoroutineLeakAcrossDaemonCycles is the runtime counterpart of
 // the goleak analyzer: three full daemon lifecycles — writer loop,
 // follow tailer polling a churn log, queries and a tailed batch — must
@@ -998,8 +1208,8 @@ func TestNoGoroutineLeakAcrossDaemonCycles(t *testing.T) {
 		followDone := make(chan error, 1)
 		go func() { followDone <- s.Follow(ctx, path, 2*time.Millisecond, 64) }()
 
-		// Exercise the request path so route goroutines (timeout
-		// handler, concurrency bound) spin up and wind down too.
+		// Exercise the request path between start and drain. It starts
+		// no goroutine of its own, so it must leave none behind.
 		h := s.Handler()
 		if rec := get(h, "/v1/snapshot"); rec.Code != http.StatusOK {
 			t.Fatalf("snapshot query: %d %s", rec.Code, rec.Body.String())
