@@ -62,7 +62,7 @@ func main() {
 		poll       = flag.Duration("poll", time.Second, "poll interval for -follow")
 		batch      = flag.Int("batch", 256, "max records per epoch when applying a -follow tail")
 		cacheSize  = flag.Int("cache", serve.DefaultCacheEntries, "epoch-cache entry bound (negative disables caching)")
-		timeout    = flag.Duration("timeout", serve.DefaultRequestTimeout, "request deadline: reading a request, writing its response, a delta POST's wait for its epoch (503 at the deadline), each chunk of the stream, and how long an idle keep-alive connection stays open")
+		timeout    = flag.Duration("timeout", serve.DefaultRequestTimeout, "request deadline: reading a request, writing its response, a delta POST's wait for its epoch (503 at the deadline), each chunk of the stream, and how long an idle keep-alive connection stays open; 0 means the default, negative disables them all")
 		inflight   = flag.Int("inflight", serve.DefaultMaxInFlight, "max concurrently executing requests (excess get 503)")
 		grace      = flag.Duration("grace", 10*time.Second, "shutdown grace for in-flight requests")
 	)
@@ -86,7 +86,7 @@ func main() {
 		time.Since(start).Round(time.Millisecond),
 		len(m.Result().Interfaces), m.Result().Resolved())
 
-	srv := serve.New(sys, serve.Options{
+	srv, hs := newDaemon(*addr, sys, serve.Options{
 		RequestTimeout: *timeout,
 		MaxInFlight:    *inflight,
 		CacheEntries:   *cacheSize,
@@ -108,7 +108,6 @@ func main() {
 		}()
 	}
 
-	hs := newHTTPServer(*addr, srv.Handler(), *timeout)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "cfsd: serving on %s\n", *addr)
@@ -135,6 +134,15 @@ func main() {
 	if cur := sys.Current(); cur != nil {
 		fmt.Fprintf(os.Stderr, "cfsd: drained at epoch %d\n", cur.Epoch())
 	}
+}
+
+// newDaemon builds the query server over sys and the listener that
+// serves it on addr. The listener takes the request deadline the
+// server resolved, so -timeout 0 means the default on both layers
+// rather than no connection deadline at all.
+func newDaemon(addr string, sys *facilitymap.System, opt serve.Options) (*serve.Server, *http.Server) {
+	srv := serve.New(sys, opt)
+	return srv, newHTTPServer(addr, srv.Handler(), srv.RequestTimeout())
 }
 
 // newHTTPServer builds the daemon's listener-side server, which bounds

@@ -26,11 +26,17 @@ func dialServer(t *testing.T, timeout time.Duration) net.Conn {
 // dialHandler is dialServer with h as the server's handler.
 func dialHandler(t *testing.T, h http.Handler, timeout time.Duration) net.Conn {
 	t.Helper()
+	return dialHTTPServer(t, newHTTPServer("", h, timeout))
+}
+
+// dialHTTPServer serves hs on a loopback listener and returns a client
+// connection to it. Both close when the test ends.
+func dialHTTPServer(t *testing.T, hs *http.Server) net.Conn {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := newHTTPServer(ln.Addr().String(), h, timeout)
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 	t.Cleanup(func() {
@@ -167,4 +173,23 @@ func TestSlowBodyClientDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireClosed(t, conn, conn, timeout, "a stalled request body")
+}
+
+// TestZeroTimeoutMeansDefault: -timeout 0 gives the listener the
+// server's default request deadline, not none, so a client that sends
+// part of a request line and stalls is disconnected within the default.
+func TestZeroTimeoutMeansDefault(t *testing.T) {
+	sys, err := facilitymap.NewSystem(facilitymap.Config{Profile: "small", Seed: 1, MaxIterations: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, hs := newDaemon("", sys, serve.Options{RequestTimeout: 0})
+	if got := srv.RequestTimeout(); got != serve.DefaultRequestTimeout {
+		t.Fatalf("server deadline %v under -timeout 0, want the default %v", got, serve.DefaultRequestTimeout)
+	}
+	conn := dialHTTPServer(t, hs)
+	if _, err := io.WriteString(conn, "GET /v1/snap"); err != nil {
+		t.Fatal(err)
+	}
+	requireClosed(t, conn, conn, serve.DefaultRequestTimeout, "a partial request line under -timeout 0")
 }

@@ -271,7 +271,11 @@ func (m *Mapping) Interfaces() []InterfaceInfo {
 // newMapping builds the serving tables for res. With a predecessor —
 // the snapshot of the same System that res re-converged from, so
 // Explain is on for both or for neither — every table whose inputs did
-// not change is carried over instead of rebuilt:
+// not change is carried over instead of rebuilt.
+//
+// When cfs reports what res changed (a surgical epoch; see
+// cfs.Result.Changed), only that set is looked at: see buildChanged.
+// Otherwise every record is compared:
 //
 //   - an interface whose InterfaceResult (and, under Explain, its
 //     provenance notes) equals the predecessor's keeps its described
@@ -283,15 +287,96 @@ func (m *Mapping) Interfaces() []InterfaceInfo {
 //
 // Reuse rests on describe reading nothing else that can change between
 // epochs: the registry fields it consults — AS names, facility names
-// and metro clusters — are mutated by no delta kind. The router census
-// is recomputed every time. A nil prev renders everything.
+// and metro clusters — are mutated by no delta kind. A nil prev renders
+// everything.
 func newMapping(sys *System, res *cfs.Result, prev *Mapping) *Mapping {
 	m := &Mapping{sys: sys, res: res}
+	if ips, links, ok := res.Changed(); ok && prev != nil && prev.res.Epoch+1 == res.Epoch {
+		m.buildChanged(prev, ips, links)
+		return m
+	}
 	m.buildListing(prev)
-	m.buildRecords(prev)
+	m.buildRecords(prev, func(ip netaddr.IP) bool { return m.sameRecord(prev, ip) })
 	m.buildInterconnectionIndex(prev)
-	m.summary = m.computeSummary()
+	m.summary = m.computeSummary(res.Resolved())
 	return m
+}
+
+// buildChanged builds the tables of a Result that reports its changed
+// set relative to prev's. Only a changed record is compared, and it is
+// re-described only if it differs. The listing and address index carry
+// over unless a changed record flipped Resolved, in which case the
+// flipped addresses are merged into the two sorted halves of prev's
+// listing. The AS-pair index carries over unless a changed link's key
+// moved; the far-end AS of an unchanged link cannot move, since owners
+// change only at an alias round, which a surgical epoch never runs.
+// The summary is prev's plus the Resolved delta, with the census read
+// from the Result.
+func (m *Mapping) buildChanged(prev *Mapping, ips []netaddr.IP, links []int) {
+	res := m.res
+	var redo, up, down []netaddr.IP // re-described; flipped to resolved, to unresolved
+	for _, ip := range ips {
+		a, b := prev.res.Interfaces[ip], res.Interfaces[ip]
+		if m.sameRecord(prev, ip) {
+			continue
+		}
+		redo = append(redo, ip)
+		switch {
+		case b.Resolved && !a.Resolved:
+			up = append(up, ip)
+		case a.Resolved && !b.Resolved:
+			down = append(down, ip)
+		}
+	}
+	switch {
+	case len(redo) == 0:
+		m.order, m.index, m.infos, m.blobs = prev.order, prev.index, prev.infos, prev.blobs
+	case len(up) == 0 && len(down) == 0:
+		m.order, m.index = prev.order, prev.index
+		m.infos, m.blobs = slices.Clone(prev.infos), slices.Clone(prev.blobs)
+		for _, ip := range redo {
+			m.describeAt(m.index[ip], ip)
+		}
+	default:
+		// ips is ascending, so up and down are too.
+		r := prev.summary.Resolved
+		m.order = make([]netaddr.IP, 0, len(prev.order))
+		m.order = mergeHalf(m.order, prev.order[:r], down, up)
+		m.order = mergeHalf(m.order, prev.order[r:], up, down)
+		m.index = indexOf(m.order)
+		m.buildRecords(prev, func(ip netaddr.IP) bool {
+			_, found := slices.BinarySearch(redo, ip)
+			return !found
+		})
+	}
+
+	m.far, m.ixn = prev.far, prev.ixn
+	for _, i := range links {
+		l := res.Links[i]
+		if m.farASOf(l) != prev.far[i] || l.NearAS != prev.res.Links[i].NearAS {
+			m.buildInterconnectionIndex(nil)
+			break
+		}
+	}
+	m.summary = m.computeSummary(prev.summary.Resolved + len(up) - len(down))
+}
+
+// mergeHalf appends to dst one ascending half of a listing: half
+// without the addresses in drop, merged with the addresses in add. All
+// three are ascending, and drop is a subset of half.
+func mergeHalf(dst, half, drop, add []netaddr.IP) []netaddr.IP {
+	for _, ip := range half {
+		if len(drop) > 0 && drop[0] == ip {
+			drop = drop[1:]
+			continue
+		}
+		for len(add) > 0 && add[0] < ip {
+			dst = append(dst, add[0])
+			add = add[1:]
+		}
+		dst = append(dst, ip)
+	}
+	return append(dst, add...)
 }
 
 // buildListing sets order and index, sharing the predecessor's when
@@ -303,10 +388,16 @@ func (m *Mapping) buildListing(prev *Mapping) {
 		return
 	}
 	m.order = interfaceOrder(m.res.Interfaces)
-	m.index = make(map[netaddr.IP]int, len(m.order))
-	for i, ip := range m.order {
-		m.index[ip] = i
+	m.index = indexOf(m.order)
+}
+
+// indexOf maps each address of a listing to its position.
+func indexOf(order []netaddr.IP) map[netaddr.IP]int {
+	index := make(map[netaddr.IP]int, len(order))
+	for i, ip := range order {
+		index[ip] = i
 	}
+	return index
 }
 
 func (m *Mapping) sameListing(interfaces map[netaddr.IP]*cfs.InterfaceResult) bool {
@@ -322,22 +413,27 @@ func (m *Mapping) sameListing(interfaces map[netaddr.IP]*cfs.InterfaceResult) bo
 	return true
 }
 
-// buildRecords fills infos and blobs: records whose inputs equal the
-// predecessor's are shared with it, the rest are described and
-// marshaled.
-func (m *Mapping) buildRecords(prev *Mapping) {
+// buildRecords fills infos and blobs in listing order: the record of
+// every address that prev lists and same accepts is shared with prev,
+// and the rest are described and marshaled.
+func (m *Mapping) buildRecords(prev *Mapping, same func(ip netaddr.IP) bool) {
 	m.infos = make([]InterfaceInfo, len(m.order))
 	m.blobs = make([][]byte, len(m.order))
 	for i, ip := range m.order {
 		if prev != nil {
-			if j, ok := prev.index[ip]; ok && m.sameRecord(prev, ip) {
+			if j, ok := prev.index[ip]; ok && same(ip) {
 				m.infos[i], m.blobs[i] = prev.infos[j], prev.blobs[j]
 				continue
 			}
 		}
-		m.infos[i] = m.describe(m.res.Interfaces[ip])
-		m.blobs[i], _ = json.Marshal(&m.infos[i])
+		m.describeAt(i, ip)
 	}
+}
+
+// describeAt describes and marshals ip's record into position i.
+func (m *Mapping) describeAt(i int, ip netaddr.IP) {
+	m.infos[i] = m.describe(m.res.Interfaces[ip])
+	m.blobs[i], _ = json.Marshal(&m.infos[i])
 }
 
 // sameRecord reports whether ip describes identically in m and prev:
@@ -633,13 +729,20 @@ type SnapshotSummary struct {
 // Summarize condenses the snapshot into its JSON-shaped digest.
 func (m *Mapping) Summarize() SnapshotSummary { return m.summary }
 
-func (m *Mapping) computeSummary() SnapshotSummary {
+// computeSummary builds the summary of a snapshot with resolved
+// resolved interfaces; ResolvedFraction is cfs.Result.ResolvedFraction's
+// quotient.
+func (m *Mapping) computeSummary(resolved int) SnapshotSummary {
 	census := m.res.Census()
+	frac := 0.0
+	if n := len(m.res.Interfaces); n > 0 {
+		frac = float64(resolved) / float64(n)
+	}
 	return SnapshotSummary{
 		Epoch:               m.res.Epoch,
 		Interfaces:          len(m.res.Interfaces),
-		Resolved:            m.res.Resolved(),
-		ResolvedFraction:    m.res.ResolvedFraction(),
+		Resolved:            resolved,
+		ResolvedFraction:    frac,
 		Iterations:          len(m.res.History),
 		Routers:             census.Routers,
 		MultiRoleRouters:    census.MultiRole,

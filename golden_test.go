@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"facilitymap/internal/cfs"
+	"facilitymap/internal/delta"
 	"facilitymap/internal/experiments"
 	"facilitymap/internal/obs"
 	"facilitymap/internal/world"
@@ -87,6 +88,46 @@ var goldenMediumSummary = SnapshotSummary{
 	MultiIXPRouters:     25,
 	FarEndPlacements:    147,
 	ProximityPlacements: 42,
+}
+
+// TestChurnFixedPointGolden pins every epoch of a churn stream the way
+// TestBootFixedPointGolden pins the boot: after the boot at seed 42,
+// each of the 40 records of delta.Churn(w, 40, 11) is applied as its
+// own batch, and each epoch's summary line and record digest,
+// fmt.Sprintf("%+v %016x\n", m.Summarize(), recordDigest(m)), are
+// hashed into one FNV-64a sum. The stream mixes surgical and
+// re-ingestion epochs, so both ways Apply builds a snapshot are
+// pinned byte for byte.
+func TestChurnFixedPointGolden(t *testing.T) {
+	for _, tc := range []struct {
+		profile string
+		explain bool
+		sum     uint64
+	}{
+		{"small", false, 0xb1a178d3ecee11db},
+		{"small", true, 0x62b97ce1ed04100c},
+		{"medium", false, 0x49f4f5f1646b1e19},
+	} {
+		t.Run(fmt.Sprintf("%s/explain=%v", tc.profile, tc.explain), func(t *testing.T) {
+			sys, err := NewSystem(Config{Profile: tc.profile, Seed: 42, Explain: tc.explain})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.MapInterconnections()
+			log, _ := delta.Churn(sys.Env.W, 40, 11)
+			h := fnv.New64a()
+			for i := range log {
+				m, err := sys.Apply(log[i : i+1])
+				if err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+				fmt.Fprintf(h, "%+v %016x\n", m.Summarize(), recordDigest(m))
+			}
+			if got := h.Sum64(); got != tc.sum {
+				t.Errorf("churn digest %#016x, want %#016x", got, tc.sum)
+			}
+		})
+	}
 }
 
 // TestEngineCountersGolden pins the engine's work on the benchmark's

@@ -129,6 +129,17 @@ type Pipeline struct {
 	eng   engine
 	obsIn Observations
 	epoch int
+
+	// What a surgical epoch carries forward from the one before it (see
+	// finish): the last published Result, the addresses its post-passes
+	// placed, the pool addresses counted in its MissingFacilityData, the
+	// converged state's pool tallies, and the §4.4 ranking, which the
+	// post-pass relearns in place every epoch.
+	last    *Result
+	placed  map[netaddr.IP]placement
+	missing map[netaddr.IP]bool
+	tally   poolTally
+	px      *Proximity
 }
 
 // pipelineMetrics are the CFS loop's observability handles, resolved
@@ -205,6 +216,7 @@ func New(cfg Config, db *registry.Database, ipasn *ip2asn.Service,
 		cfg: cfg, db: db, ipasn: ipasn, svc: svc, det: det, prober: prober,
 		fs:        newFacsets(db),
 		m:         resolveMetrics(cfg.Obs),
+		px:        NewProximity(),
 		newEngine: func(st *state) engine { return newWorklist(st) },
 		//cfslint:ignore noclock the injected-clock boundary itself: wall time enters the pipeline only here, feeds IterationStats.WallTime, and never an inference; tests swap it out
 		now: time.Now,
@@ -266,6 +278,15 @@ type Adjacency struct {
 	Type LinkType
 }
 
+// farEnd is the adjacency's far address: the far member's IXP port for
+// a public crossing, the far interface of a private one.
+func (a *Adjacency) farEnd() netaddr.IP {
+	if a.Public {
+		return a.FarPort
+	}
+	return a.Far
+}
+
 // InterfaceResult is the final inference for one interface.
 type InterfaceResult struct {
 	IP    netaddr.IP
@@ -317,9 +338,11 @@ type IterationStats struct {
 }
 
 // Result is the full outcome of one CFS convergence. Results are
-// immutable snapshots: assemble deep-copies everything the live engine
-// state can still mutate, so a Result stays valid — and safe to serve
-// concurrently — while later ApplyDelta epochs re-converge.
+// immutable snapshots: nothing in one is shared with the live engine
+// state, so a Result stays valid — and safe to serve concurrently —
+// while later ApplyDelta epochs re-converge. A surgical epoch's Result
+// shares every record, link and provenance list it did not change with
+// its predecessor; shared values are never written again.
 type Result struct {
 	Interfaces map[netaddr.IP]*InterfaceResult
 	Links      []*Adjacency
@@ -332,6 +355,12 @@ type Result struct {
 	// aliasSetOf maps an address to its alias-set ID (router identity)
 	// for the census; nil when alias resolution was disabled.
 	aliasSetOf func(netaddr.IP) int
+	// census is the router census, computed once when the pipeline
+	// publishes the Result; nil for a Merge, whose Census computes it.
+	census *RouterCensus
+	// changed is the change set a surgical epoch reports; nil for every
+	// other Result. See Changed.
+	changed *changeSet
 
 	// Provenance lists the constraints applied per interface, in order,
 	// when Config.TraceProvenance was set.
@@ -348,6 +377,36 @@ type Result struct {
 	// MergeConflicts counts interfaces whose candidate sets disagreed
 	// outright when results were combined with Merge.
 	MergeConflicts int
+}
+
+// changeSet lists what a surgical epoch's Result changed relative to
+// its predecessor, each in ascending order. touched is the part of
+// interfaces the drain reset or re-ran (touchSet.ips); the tests hold
+// every narrowing of the epoch to it.
+type changeSet struct {
+	interfaces []netaddr.IP
+	links      []int
+	touched    []netaddr.IP
+}
+
+// Changed reports what r changed relative to the Result its pipeline
+// published before it (epoch r.Epoch-1). ok is true only for a
+// surgical epoch (facility-list deltas or an empty batch): interfaces
+// then lists, in ascending address order, every address whose record
+// the epoch rebuilt — the interfaces the edit reset or re-constrained,
+// plus every §4.3/§4.4 post-pass placement made, dropped or redone
+// since the predecessor — and links lists, in ascending order, the
+// indices into Links of every adjacency the epoch re-classified. Every
+// other record, link and provenance list is the predecessor's own
+// value, and the two Results hold the same interface set and the same
+// link endpoints. A listed record or link may still equal its
+// predecessor's. For the initial run, a re-ingestion epoch and a
+// Merge, ok is false. The lists are shared; treat them as read-only.
+func (r *Result) Changed() (interfaces []netaddr.IP, links []int, ok bool) {
+	if r.changed == nil {
+		return nil, nil, false
+	}
+	return r.changed.interfaces, r.changed.links, true
 }
 
 // Resolved returns the number of interfaces mapped to a single facility.

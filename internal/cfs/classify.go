@@ -16,10 +16,18 @@ type RouterCensus struct {
 	MultiIXP      int // public routers peering over >= 2 IXPs
 }
 
-// Census computes router-role statistics from a run's links and alias
+// Census returns router-role statistics from a run's links and alias
 // sets. Interfaces without alias information count as single-interface
-// routers.
+// routers. A Result the pipeline published carries its census; a
+// Merge computes it on every call.
 func (r *Result) Census() RouterCensus {
+	if r.census != nil {
+		return *r.census
+	}
+	return r.computeCensus()
+}
+
+func (r *Result) computeCensus() RouterCensus {
 	// Number the routers densely: one per alias set, one per interface
 	// outside every set. group[id] is alias set id's router number + 1
 	// (0: not numbered yet).

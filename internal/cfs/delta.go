@@ -31,6 +31,7 @@ package cfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"facilitymap/internal/delta"
 	"facilitymap/internal/netaddr"
@@ -146,13 +147,11 @@ func (p *Pipeline) ApplyDelta(log []delta.Delta) (*Result, error) {
 		obs.F("reingest", reingest),
 	)
 
-	var history []IterationStats
 	if reingest {
-		history = p.reingestEpoch()
-	} else {
-		history = p.surgicalEpoch(log)
+		return p.finish(p.st, p.reingestEpoch(), nil), nil
 	}
-	return p.finish(p.st, history), nil
+	history, ts := p.surgicalEpoch(log)
+	return p.finish(p.st, history, ts), nil
 }
 
 // reintern refreshes the interned facility sets the constraint passes
@@ -169,9 +168,19 @@ func (p *Pipeline) reintern(log []delta.Delta) {
 	}
 }
 
+// touchSet is what a surgical epoch re-ran: the closure it reset plus
+// both ends of every adjacency it re-dirtied (ips), and those
+// adjacencies (links), both ascending. The drain can narrow or flag no
+// other interface, so no other record of the snapshot can change.
+type touchSet struct {
+	ips   []netaddr.IP
+	links []int
+}
+
 // surgicalEpoch repairs the converged state in place after facility-list
-// deltas and drains the worklist to the new fixed point.
-func (p *Pipeline) surgicalEpoch(log []delta.Delta) []IterationStats {
+// deltas and drains the worklist to the new fixed point, returning the
+// convergence curve and what it touched.
+func (p *Pipeline) surgicalEpoch(log []delta.Delta) ([]IterationStats, *touchSet) {
 	st, wl := p.st, p.st.wl
 
 	// Seed: every adjacency whose constraint proposal reads a delta'd
@@ -209,13 +218,8 @@ func (p *Pipeline) surgicalEpoch(log []delta.Delta) []IterationStats {
 		}
 	}
 	for idx := range affected {
-		a := st.adjOrder[idx]
-		addIP(a.Near)
-		if a.Public {
-			addIP(a.FarPort)
-		} else {
-			addIP(a.Far)
-		}
+		addIP(st.adjOrder[idx].Near)
+		addIP(st.adjOrder[idx].farEnd())
 	}
 	if st.sets != nil {
 		seeds := make([]netaddr.IP, 0, len(closure))
@@ -230,16 +234,41 @@ func (p *Pipeline) surgicalEpoch(log []delta.Delta) []IterationStats {
 		}
 	}
 
+	// Every adjacency incident to the closure is re-run, and the touched
+	// set is the closure plus both ends of each. Their tallies leave the
+	// pool's before the reset and are counted afresh after every drain
+	// iteration, so no iteration rescans the pool.
+	redirty := make(map[int]bool)
+	var ips []netaddr.IP
+	for ip := range closure {
+		for _, idx := range wl.ifaceAdjs[ip] {
+			redirty[idx] = true
+		}
+		ips = append(ips, ip)
+	}
+	links := make([]int, 0, len(redirty))
+	for idx := range redirty {
+		links = append(links, idx)
+	}
+	slices.Sort(links)
+	for _, idx := range links {
+		a := st.adjOrder[idx]
+		ips = append(ips, a.Near, a.farEnd())
+	}
+	slices.Sort(ips)
+	ips = slices.Compact(ips)
+	if len(ips) > 0 && ips[0] == 0 {
+		ips = ips[1:]
+	}
+	ts := &touchSet{ips: ips, links: links}
+	rest := p.tally.minus(st.tally(ts.ips))
+
 	// Reset the closure's derived state to its post-ingestion baseline
 	// and re-dirty everything incident to it. Every constraint a closure
 	// IP ever absorbed came from an incident adjacency or from its own
 	// alias set, so re-running exactly those reproduces a fresh run's
 	// candidate sets and provenance.
-	redirty := make(map[int]bool)
 	for ip := range closure {
-		for _, idx := range wl.ifaceAdjs[ip] {
-			redirty[idx] = true
-		}
 		delete(st.cand, ip)
 		delete(st.remoteIface, ip)
 		if st.prov != nil {
@@ -252,7 +281,7 @@ func (p *Pipeline) surgicalEpoch(log []delta.Delta) []IterationStats {
 			}
 		}
 	}
-	for idx := range redirty {
+	for _, idx := range ts.links {
 		// Restore the registration-time value: a stale classification
 		// (say PublicRemote under the old lists) must not survive when
 		// neither classify branch fires under the new ones.
@@ -267,7 +296,7 @@ func (p *Pipeline) surgicalEpoch(log []delta.Delta) []IterationStats {
 			wl.dirtySets[sid] = true
 		}
 	}
-	p.m.deltaRedirty.Add(int64(len(redirty)))
+	p.m.deltaRedirty.Add(int64(len(ts.links)))
 
 	// Drain. No alias re-resolution (owners are untouched by facility
 	// deltas) and no targeted follow-ups (the corpus is frozen): just
@@ -280,7 +309,8 @@ func (p *Pipeline) surgicalEpoch(log []delta.Delta) []IterationStats {
 		aliasRecomputed := p.eng.aliasPass()
 		end := p.now()
 
-		stats := st.snapshot(iter)
+		p.tally = rest.plus(st.tally(ts.ips))
+		stats := st.stats(iter, p.tally)
 		stats.DirtyAdjs = dirty
 		stats.Recomputed = constraintRecomputed + aliasRecomputed
 		stats.WallTime = end.Sub(start)
@@ -299,7 +329,7 @@ func (p *Pipeline) surgicalEpoch(log []delta.Delta) []IterationStats {
 			break
 		}
 	}
-	return history
+	return history, ts
 }
 
 // reingestEpoch rebuilds state from the retained (and now mutated)

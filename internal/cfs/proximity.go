@@ -65,10 +65,25 @@ func (px *Proximity) Pick(ix world.IXPID, near world.FacilityID, cands []world.F
 	return best, true
 }
 
-// learnProximity builds the ranking from fully-resolved public
-// crossings.
-func learnProximity(st *state, res *Result) *Proximity {
-	px := NewProximity()
+// reset empties every per-IXP count map, keeping the maps.
+func (px *Proximity) reset() {
+	for _, m := range px.counts {
+		clear(m)
+	}
+}
+
+// applyProximity runs the fallback far-end placement (§4.4): learn the
+// proximity ranking from fully-resolved public crossings, then place
+// far-end ports that still carry multiple candidate facilities.
+// Placing one far port flips it to resolved, which later adjacencies
+// sharing the port observe, so adjacency order is semantics. Like
+// applyFarEnd it runs once, after the iteration loop reached its fixed
+// point, outside any engine's dirty-set accounting, and places through
+// place. The ranking is relearned every epoch into the pipeline's own
+// Proximity, emptied first.
+func (p *Pipeline) applyProximity(st *state, res *Result, placed map[netaddr.IP]placement) {
+	px := p.px
+	px.reset()
 	for _, a := range st.adjOrder {
 		if !a.Public {
 			continue
@@ -78,18 +93,6 @@ func learnProximity(st *state, res *Result) *Proximity {
 			px.Observe(a.IXP, near.Facility, far.Facility)
 		}
 	}
-	return px
-}
-
-// applyProximity runs the fallback far-end placement (§4.4): learn the
-// proximity ranking from fully-resolved public crossings, then place
-// far-end ports that still carry multiple candidate facilities.
-// Placing one far port flips it to resolved, which later adjacencies
-// sharing the port observe, so adjacency order is semantics. Like applyFarEnd it runs once, after
-// the iteration loop reached its fixed point, on the assembled Result —
-// outside any engine's dirty-set accounting.
-func (p *Pipeline) applyProximity(st *state, res *Result) {
-	px := learnProximity(st, res)
 	for _, a := range st.adjOrder {
 		if !a.Public {
 			continue
@@ -102,10 +105,7 @@ func (p *Pipeline) applyProximity(st *state, res *Result) {
 			continue
 		}
 		if f, ok := px.Pick(a.IXP, near.Facility, far.Candidates); ok {
-			far.Resolved = true
-			far.Facility = f
-			far.Candidates = []world.FacilityID{f}
-			far.ViaProximity = true
+			p.place(res, far, f, true, placed)
 			res.ProximityInferences++
 		}
 	}

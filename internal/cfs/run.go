@@ -2,6 +2,7 @@ package cfs
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 
 	"facilitymap/internal/netaddr"
@@ -54,7 +55,7 @@ func (p *Pipeline) run(in Observations) *Result {
 	}
 
 	history := p.converge(st, eng, p.cfg.UseTargeted)
-	return p.finish(st, history)
+	return p.finish(st, history, nil)
 }
 
 // converge drives the CFS iteration loop to its fixed point and
@@ -87,7 +88,7 @@ func (p *Pipeline) converge(st *state, eng engine, useTargeted bool) []Iteration
 		engineEnd := p.now()
 		recomputed := constraintRecomputed + aliasRecomputed
 
-		stats := st.snapshot(iter)
+		stats := st.stats(iter, st.tally(st.pool))
 		stats.DirtyAdjs = dirty
 		stats.Recomputed = recomputed
 
@@ -158,26 +159,124 @@ func (p *Pipeline) converge(st *state, eng engine, useTargeted bool) []Iteration
 	return history
 }
 
-// finish assembles the immutable snapshot for the current epoch: the
-// deep-copied Result plus the two second-class post-passes (§4.3
+// finish builds the immutable snapshot for the current epoch: the
+// converged records plus the two second-class post-passes (§4.3
 // far-end, §4.4 proximity), both pure functions of converged state.
-func (p *Pipeline) finish(st *state, history []IterationStats) *Result {
-	res := st.assemble(history)
-	p.applyFarEnd(st, res)
-	if p.cfg.UseProximity {
-		p.applyProximity(st, res)
+//
+// ts is nil for the initial run and a re-ingestion epoch, which
+// assemble every record. A surgical epoch passes the addresses and
+// adjacencies it touched, and its Result starts from the previous one
+// instead (carryForward): only the touched records, last epoch's
+// post-pass placements and the re-classified links are rebuilt, and
+// everything else is shared. That equals a full assemble because no
+// record outside the touched set can differ: the drain narrows and
+// re-flags only the interfaces it reset and the ends of the
+// adjacencies it re-ran, owners do not change without an alias round,
+// and a facility edit to an AS touches every pool interface the AS
+// owns (each is an end of an adjacency the worklist files under that
+// owner). TestDeltaCarriedMatchesAssembled holds this to a full
+// assemble at every surgical epoch.
+func (p *Pipeline) finish(st *state, history []IterationStats, ts *touchSet) *Result {
+	var res *Result
+	if ts == nil {
+		res = st.assemble(history)
+		c := res.computeCensus()
+		res.census = &c
+		p.missing = make(map[netaddr.IP]bool)
+		for _, ip := range st.pool {
+			if p.lacksFacilityData(res.Interfaces[ip]) {
+				p.missing[ip] = true
+			}
+		}
+		p.tally = st.tally(st.pool)
+	} else {
+		res = p.carryForward(st, history, ts)
 	}
+	placed := make(map[netaddr.IP]placement, len(p.placed))
+	p.applyFarEnd(st, res, placed)
+	if p.cfg.UseProximity {
+		p.applyProximity(st, res, placed)
+	}
+	if ts != nil {
+		// Changed: the touched records, and every placement made, dropped
+		// or redone since the last epoch.
+		ips := append([]netaddr.IP(nil), ts.ips...)
+		for _, m := range [2]map[netaddr.IP]placement{p.placed, placed} {
+			for ip := range m {
+				if res.Interfaces[ip] != p.last.Interfaces[ip] {
+					ips = append(ips, ip)
+				}
+			}
+		}
+		slices.Sort(ips)
+		res.changed = &changeSet{interfaces: slices.Compact(ips), links: ts.links, touched: ts.ips}
+	}
+	p.last, p.placed = res, placed
 	res.Epoch = p.epoch
 	p.m.snapshotVer.Set(int64(p.epoch))
 	return res
+}
+
+// carryForward builds a surgical epoch's Result from the previous one:
+// the record map and the link list are cloned, the records last
+// epoch's post-passes placed go back to their converged form, and only
+// the touched records and the re-classified links are rebuilt from
+// state. Under provenance only the touched interfaces' notes are
+// copied. Alias sets and link endpoints do not change without a
+// re-ingestion, so the alias-set map and the router census carry over.
+func (p *Pipeline) carryForward(st *state, history []IterationStats, ts *touchSet) *Result {
+	prev := p.last
+	res := &Result{
+		Interfaces: maps.Clone(prev.Interfaces),
+		Links:      slices.Clone(prev.Links),
+		History:    history,
+		aliasSetOf: prev.aliasSetOf,
+		census:     prev.census,
+	}
+	for ip, pl := range p.placed {
+		res.Interfaces[ip] = pl.base
+	}
+	for _, ip := range ts.ips {
+		ir := st.interfaceResult(ip)
+		res.Interfaces[ip] = ir
+		if p.lacksFacilityData(ir) {
+			p.missing[ip] = true
+		} else {
+			delete(p.missing, ip)
+		}
+	}
+	res.MissingFacilityData = len(p.missing)
+	for _, idx := range ts.links {
+		cp := *st.adjOrder[idx]
+		res.Links[idx] = &cp
+	}
+	if st.prov != nil {
+		res.Provenance = maps.Clone(prev.Provenance)
+		for _, ip := range ts.ips {
+			if notes, ok := st.prov[ip]; ok {
+				res.Provenance[ip] = append([]string(nil), notes...)
+			} else {
+				delete(res.Provenance, ip)
+			}
+		}
+	}
+	return res
+}
+
+// lacksFacilityData reports whether a converged (pre-post-pass) record
+// counts toward MissingFacilityData: unresolved, with a known owner that
+// has no facility data at all.
+func (p *Pipeline) lacksFacilityData(ir *InterfaceResult) bool {
+	return !ir.Resolved && ir.Owner != 0 && len(p.db.FacilitiesOfAS(ir.Owner)) == 0
 }
 
 // applyFarEnd is the §4.3 cross-connect inference, run as a second-class
 // pass so its errors cannot cascade through alias propagation: once the
 // near router of a cross-connect is pinned to one facility, its other
 // end sits in the same building, provided the far AS is known to be
-// present there.
-func (p *Pipeline) applyFarEnd(st *state, res *Result) {
+// present there. Placements go through place, which records them in
+// placed.
+func (p *Pipeline) applyFarEnd(st *state, res *Result, placed map[netaddr.IP]placement) {
 	for _, a := range st.adjOrder {
 		if a.Public || a.Type != PrivateCrossConnect {
 			continue
@@ -212,29 +311,81 @@ func (p *Pipeline) applyFarEnd(st *state, res *Result) {
 				continue
 			}
 		}
-		far.Resolved = true
-		far.Facility = f
-		far.Candidates = []world.FacilityID{f}
-		far.ViaFarEnd = true
+		p.place(res, far, f, false, placed)
 		res.FarEndInferences++
 	}
 }
 
-func (st *state) snapshot(iter int) IterationStats {
-	s := IterationStats{Iteration: iter, Observed: len(st.pool), Conflicts: st.conflicts}
-	for _, ip := range st.pool {
+// placement is one post-pass placement: the converged record it
+// replaced and the placed record.
+type placement struct {
+	base, rec *InterfaceResult
+}
+
+// place puts far's interface at facility f by replacing its record,
+// never writing through it (records may be shared with a published
+// Result), and records the placement in placed. The placed record is a
+// copy of far marked ViaProximity or ViaFarEnd, or last epoch's own
+// placed record when that epoch placed the same converged record at
+// the same facility the same way, so a placement that did not change
+// keeps its pointer.
+func (p *Pipeline) place(res *Result, far *InterfaceResult, f world.FacilityID, proximity bool, placed map[netaddr.IP]placement) {
+	pl := placement{base: far}
+	if old, ok := p.placed[far.IP]; ok && old.base == far && old.rec.Facility == f && old.rec.ViaProximity == proximity {
+		pl.rec = old.rec
+	} else {
+		cp := *far
+		cp.Resolved = true
+		cp.Facility = f
+		cp.Candidates = []world.FacilityID{f}
+		cp.ViaFarEnd, cp.ViaProximity = !proximity, proximity
+		pl.rec = &cp
+	}
+	res.Interfaces[far.IP] = pl.rec
+	placed[far.IP] = pl
+}
+
+// poolTally counts the pool addresses in each state an IterationStats
+// row reports.
+type poolTally struct{ resolved, cityOnly, remote int }
+
+func (t poolTally) plus(u poolTally) poolTally {
+	return poolTally{t.resolved + u.resolved, t.cityOnly + u.cityOnly, t.remote + u.remote}
+}
+
+func (t poolTally) minus(u poolTally) poolTally {
+	return poolTally{t.resolved - u.resolved, t.cityOnly - u.cityOnly, t.remote - u.remote}
+}
+
+// tally counts ips by their current candidate sets and remote flags.
+func (st *state) tally(ips []netaddr.IP) poolTally {
+	var t poolTally
+	for _, ip := range ips {
 		c := st.cand[ip]
 		switch n := c.count(); {
 		case n == 1:
-			s.Resolved++
+			t.resolved++
 		case n > 1 && st.singleCluster(c):
-			s.CityOnly++
+			t.cityOnly++
 		}
 		if st.remoteIface[ip] {
-			s.RemoteSeen++
+			t.remote++
 		}
 	}
-	return s
+	return t
+}
+
+// stats is iteration iter's convergence row, with t the tally of the
+// whole pool.
+func (st *state) stats(iter int, t poolTally) IterationStats {
+	return IterationStats{
+		Iteration:  iter,
+		Observed:   len(st.pool),
+		Resolved:   t.resolved,
+		CityOnly:   t.cityOnly,
+		Conflicts:  st.conflicts,
+		RemoteSeen: t.remote,
+	}
 }
 
 // singleCluster reports whether every candidate facility normalises to
@@ -500,30 +651,39 @@ func (st *state) vantagePoints(ip netaddr.IP, allowed map[platform.Kind]bool, it
 	return out
 }
 
-// assemble builds the final Result from converged state.
+// interfaceResult builds ip's record from converged state, before the
+// post-passes.
+func (st *state) interfaceResult(ip netaddr.IP) *InterfaceResult {
+	ir := &InterfaceResult{IP: ip, RemoteMember: st.remoteIface[ip]}
+	if asn, ok := st.ownerOf(ip); ok {
+		ir.Owner = asn
+	}
+	if c := st.cand[ip]; c != nil {
+		// appendIDs walks bit slots in order, which the index assigned
+		// by ascending FacilityID — no sort needed.
+		ir.Candidates = st.p.fs.fx.appendIDs(c, nil)
+		if len(ir.Candidates) == 1 {
+			ir.Resolved = true
+			ir.Facility = ir.Candidates[0]
+		} else if st.singleCluster(c) {
+			ir.CityConstrain = true
+			ir.CityCluster, _ = st.p.db.MetroClusterOf(ir.Candidates[0])
+		}
+	}
+	return ir
+}
+
+// assemble builds the Result of converged state from scratch, before
+// the post-passes: every pool interface's record, and a deep copy of
+// the links and the provenance.
 func (st *state) assemble(history []IterationStats) *Result {
 	res := &Result{
 		Interfaces: make(map[netaddr.IP]*InterfaceResult, len(st.pool)),
 		History:    history,
 	}
 	for _, ip := range st.pool {
-		ir := &InterfaceResult{IP: ip, RemoteMember: st.remoteIface[ip]}
-		if asn, ok := st.ownerOf(ip); ok {
-			ir.Owner = asn
-		}
-		if c := st.cand[ip]; c != nil {
-			// appendIDs walks bit slots in order, which the index assigned
-			// by ascending FacilityID — no sort needed.
-			ir.Candidates = st.p.fs.fx.appendIDs(c, nil)
-			if len(ir.Candidates) == 1 {
-				ir.Resolved = true
-				ir.Facility = ir.Candidates[0]
-			} else if st.singleCluster(c) {
-				ir.CityConstrain = true
-				ir.CityCluster, _ = st.p.db.MetroClusterOf(ir.Candidates[0])
-			}
-		}
-		if !ir.Resolved && ir.Owner != 0 && len(st.p.db.FacilitiesOfAS(ir.Owner)) == 0 {
+		ir := st.interfaceResult(ip)
+		if st.p.lacksFacilityData(ir) {
 			res.MissingFacilityData++
 		}
 		res.Interfaces[ip] = ir

@@ -7,6 +7,7 @@
 package remote
 
 import (
+	"slices"
 	"time"
 
 	"facilitymap/internal/geo"
@@ -29,24 +30,42 @@ type Detector struct {
 	ProbesPerVP int
 	// MaxVPs bounds how many in-metro vantage points are used.
 	MaxVPs int
-	// MetroRadiusKm is how close a vantage point must be to one of the
-	// IXP's facilities to count as "in the IXP's city".
-	MetroRadiusKm float64
 
 	// Pings counts issued probes for budget reporting.
 	Pings int
+
+	// local caches, per IXP, the looking glasses within localRadiusKm
+	// of one of its facilities, for the facility list it was computed
+	// for: a facility-list edit forces a recompute.
+	local map[world.IXPID]localLGs
+}
+
+// localRadiusKm is how close a looking glass must sit to one of an
+// IXP's facilities to serve as a local reference. A router housed in a
+// facility sits at the facility's coordinates, so a looking glass at
+// one of the IXP's own facilities is 0 km away; the radius is kept
+// well under a metro's spread (facilities and unhoused routers scatter
+// up to about 5 km around its centre) so that looking glasses elsewhere
+// in the city, which may reach the fabric remotely, mostly do not
+// qualify.
+const localRadiusKm = 3
+
+// localLGs is the cached list of one IXP's local looking glasses, in
+// fleet order, with the facility list it was computed for.
+type localLGs struct {
+	facilities []world.FacilityID
+	vps        []*platform.VantagePoint
 }
 
 // NewDetector builds a detector with the paper's methodology defaults
 // (multiple measurements, minimum filtering).
 func NewDetector(svc *platform.Service, db *registry.Database) *Detector {
 	return &Detector{
-		svc:           svc,
-		db:            db,
-		Threshold:     2 * time.Millisecond,
-		ProbesPerVP:   5,
-		MaxVPs:        8,
-		MetroRadiusKm: 50,
+		svc:         svc,
+		db:          db,
+		Threshold:   2 * time.Millisecond,
+		ProbesPerVP: 5,
+		MaxVPs:      8,
 	}
 }
 
@@ -65,12 +84,9 @@ func (d *Detector) IsRemote(port netaddr.IP, ix world.IXPID) (remote, ok bool) {
 	// a local port — so remote member LGs never serve as references.
 	best := time.Duration(-1)
 	used := 0
-	for _, vp := range d.svc.Fleet().VPs {
+	for _, vp := range d.localLGs(ix, rec) {
 		if used >= d.MaxVPs {
 			break
-		}
-		if vp.Kind != platform.LookingGlass || d.distToIXP(vp, rec) > 3 {
-			continue
 		}
 		rtt, ok := d.svc.Engine().FabricPing(vp.Router, port, d.ProbesPerVP)
 		if !ok {
@@ -86,6 +102,26 @@ func (d *Detector) IsRemote(port netaddr.IP, ix world.IXPID) (remote, ok bool) {
 		return false, false
 	}
 	return best > d.Threshold, true
+}
+
+// localLGs returns the looking glasses within localRadiusKm of one of
+// the IXP's facilities, in fleet order, computing the list only when
+// the IXP's facility list differs from the one it was cached for.
+func (d *Detector) localLGs(ix world.IXPID, rec *registry.IXPRecord) []*platform.VantagePoint {
+	if c, ok := d.local[ix]; ok && slices.Equal(c.facilities, rec.Facilities) {
+		return c.vps
+	}
+	var vps []*platform.VantagePoint
+	for _, vp := range d.svc.Fleet().VPs {
+		if vp.Kind == platform.LookingGlass && d.distToIXP(vp, rec) <= localRadiusKm {
+			vps = append(vps, vp)
+		}
+	}
+	if d.local == nil {
+		d.local = make(map[world.IXPID]localLGs)
+	}
+	d.local[ix] = localLGs{facilities: slices.Clone(rec.Facilities), vps: vps}
+	return vps
 }
 
 // distToIXP returns the distance from a vantage point to the nearest

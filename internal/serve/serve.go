@@ -67,7 +67,9 @@ type Options struct {
 	// RequestTimeout bounds the two places a request can wait inside
 	// the server (default 5s; negative disables both): a POST
 	// /v1/deltas waiting for the writer to publish its batch answers 503
-	// at this deadline, and the stream gives each chunk of its dump this
+	// at this deadline and withdraws the batch (unless the writer has
+	// already taken it; then it answers once that batch has landed),
+	// and the stream gives each chunk of its dump this
 	// long to be written, so a dump of any size completes while its
 	// reader keeps reading. Reading a request and writing any other
 	// response are bounded on the connection, by the listener's
@@ -130,6 +132,7 @@ type Server struct {
 	rejected   *obs.Counter
 	applied    *obs.Counter
 	applyErrs  *obs.Counter
+	withdrawn  *obs.Counter
 	followBad  *obs.Counter
 	epochGauge *obs.Gauge
 
@@ -154,6 +157,12 @@ var (
 	hdrJSON   = []string{"application/json"}
 	hdrNDJSON = []string{"application/x-ndjson"}
 )
+
+// RequestTimeout returns the request deadline in force: Options'
+// RequestTimeout with the default filled in. A listener that bounds
+// connections with the same flag should use this value, so a zero
+// flag means the default on both layers.
+func (s *Server) RequestTimeout() time.Duration { return s.opt.RequestTimeout }
 
 // New wires a Server over sys. The system should already have run
 // MapInterconnections; until it does, queries answer 503.
@@ -198,6 +207,7 @@ func New(sys *facilitymap.System, opt Options) *Server {
 	s.rejected = o.Counter("serve.http.rejected")
 	s.applied = o.Counter("serve.deltas.applied")
 	s.applyErrs = o.Counter("serve.deltas.errors")
+	s.withdrawn = o.Counter("serve.deltas.withdrawn")
 	s.followBad = o.Counter("serve.follow.bad_lines")
 	s.epochGauge = o.Gauge("serve.epoch")
 	s.applySurgical = o.Histogram("serve.apply.duration.surgical")
@@ -691,7 +701,7 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		ro.errors.Inc()
 		status, msg := http.StatusUnprocessableEntity, err.Error()
 		switch {
-		case ctx.Err() != nil:
+		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 			status, msg = http.StatusServiceUnavailable, "request timed out"
 		case errors.Is(err, delta.ErrUnknownFacility):
 			status = http.StatusBadRequest
@@ -705,12 +715,23 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 
 // applyReq is one batch waiting for the writer goroutine. accepted is
 // the injected clock's reading when enqueue took the batch, the start
-// of its freshness lag.
+// of its freshness lag. state settles who owns a queued batch: the
+// writer moves it from reqQueued to reqTaken before applying it, and a
+// handler whose wait ends first moves it to reqWithdrawn, so a batch
+// answered with a 503 is never applied.
 type applyReq struct {
 	log      []delta.Delta
 	accepted time.Time
+	state    *atomic.Int32
 	resp     chan applyResult
 }
+
+// applyReq states.
+const (
+	reqQueued int32 = iota
+	reqTaken
+	reqWithdrawn
+)
 
 type applyResult struct {
 	m   *facilitymap.Mapping
@@ -718,10 +739,12 @@ type applyResult struct {
 }
 
 // enqueue hands a batch to the writer loop and waits for the published
-// snapshot. It fails fast when the writer has exited and gives up when
-// the request context does.
+// snapshot. It fails fast when the writer has exited. When the request
+// context ends first, it withdraws the batch and returns the context's
+// error, unless the writer has already taken the batch: then it waits
+// for that apply, so the caller reports what happened to its batch.
 func (s *Server) enqueue(ctx context.Context, log []delta.Delta) (*facilitymap.Mapping, error) {
-	req := applyReq{log: log, accepted: s.now(), resp: make(chan applyResult, 1)}
+	req := applyReq{log: log, accepted: s.now(), state: new(atomic.Int32), resp: make(chan applyResult, 1)}
 	// The depth counts a batch from here until the writer takes it, so
 	// a sender blocked on a full queue counts as waiting too.
 	s.queueDepth.Add(1)
@@ -738,7 +761,11 @@ func (s *Server) enqueue(ctx context.Context, log []delta.Delta) (*facilitymap.M
 	case res := <-req.resp:
 		return res.m, res.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		if req.state.CompareAndSwap(reqQueued, reqWithdrawn) {
+			return nil, ctx.Err()
+		}
+		res := <-req.resp
+		return res.m, res.err
 	}
 }
 
@@ -767,6 +794,10 @@ func (s *Server) Run(ctx context.Context) {
 
 func (s *Server) apply(req applyReq) {
 	s.queueDepth.Add(-1)
+	if !req.state.CompareAndSwap(reqQueued, reqTaken) {
+		s.withdrawn.Inc() // its handler answered 503 already
+		return
+	}
 	start := s.now()
 	m, err := s.sys.Apply(req.log)
 	// Apply returns after the atomic publish, so this one reading ends

@@ -1330,6 +1330,41 @@ func TestDeltasRejectUnknownFacility(t *testing.T) {
 // Apply, every Apply takes exactly one step and lands in the histogram
 // of its batch class, and every batch's freshness lag — acceptance,
 // Apply start, publish — takes exactly two.
+// TestTimedOutDeltaPostWithdrawn: a delta POST that times out before
+// the writer takes its batch answers 503 and withdraws the batch, so a
+// client that retries does not apply it twice. With no writer loop the
+// first heartbeat times out; once Run starts, the next heartbeat must
+// publish epoch 1, and the writer counts the skipped batch.
+func TestTimedOutDeltaPostWithdrawn(t *testing.T) {
+	sys := smallSystem(t)
+	sys.MapInterconnections()
+	o := obs.New(0)
+	s := New(sys, Options{RequestTimeout: 50 * time.Millisecond, Obs: o})
+	h := s.Handler()
+	if rec := postDeltas(t, h, nil); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("POST with no writer loop answered %d %q, want 503", rec.Code, rec.Body)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go s.Run(ctx)
+	defer func() {
+		cancel()
+		<-s.Done()
+	}()
+	rec := postDeltas(t, h, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("heartbeat answered %d %q", rec.Code, rec.Body)
+	}
+	if ack := decode[deltasResponse](t, rec); ack.Epoch != 1 {
+		t.Fatalf("heartbeat acked epoch %d, want 1: the timed-out batch was applied", ack.Epoch)
+	}
+	if got := o.Counter("serve.deltas.withdrawn").Value(); got != 1 {
+		t.Fatalf("serve.deltas.withdrawn = %d, want 1", got)
+	}
+	if got := o.Counter("serve.deltas.applied").Value(); got != 0 {
+		t.Fatalf("serve.deltas.applied = %d records after two heartbeats, want 0", got)
+	}
+}
+
 func TestWriterMetrics(t *testing.T) {
 	sys := smallSystem(t)
 	sys.MapInterconnections()
