@@ -83,5 +83,6 @@ fuzz:
 	go test -fuzz FuzzDecodeBatch -fuzztime 30s ./internal/delta/
 	go test -fuzz FuzzBatchBody -fuzztime 20s ./internal/serve/
 	go test -fuzz FuzzDispatch -fuzztime 20s ./internal/serve/
+	go test -fuzz FuzzIngestPlan -fuzztime 20s ./internal/cfs/
 
 check: vet lint build test race

@@ -76,6 +76,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// One sink for the server and the pipeline under it: /metrics
+	// reports the CFS phases and delta counters (cfs.*) beside the
+	// writer's apply times.
+	o := obs.New(0)
+	sys.Env.Instrument(o)
 
 	fmt.Fprintf(os.Stderr, "cfsd: converging %s world (seed %d)...\n", *profile, *seed)
 	//cfslint:ignore noclock boot-timing for the startup log only; feeds a stderr line, never an inference
@@ -90,7 +95,7 @@ func main() {
 		RequestTimeout: *timeout,
 		MaxInFlight:    *inflight,
 		CacheEntries:   *cacheSize,
-		Obs:            obs.New(0),
+		Obs:            o,
 	})
 
 	// The writer loop owns every Apply; canceling writerCtx begins the

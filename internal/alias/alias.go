@@ -14,6 +14,7 @@ package alias
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"facilitymap/internal/netaddr"
@@ -27,6 +28,12 @@ type Prober struct {
 	w    *world.World
 	rng  *rand.Rand
 	seed int64
+	// drawn counts the values the stream has drawn since the seed, and
+	// skip how many of them rng has yet to produce: a replay (see
+	// Resolve) moves the stream without drawing, and the next draw
+	// catches rng up. The state of a math/rand source cannot be copied,
+	// so a position is restored by drawing up to it.
+	drawn, skip int64
 
 	clock float64 // seconds since start
 	// state is each router's counter, indexed by RouterID. A zero rate
@@ -35,6 +42,12 @@ type Prober struct {
 	state   []counterState
 	Probes  int
 	perTick float64
+
+	// Replays counts the Resolve calls answered from the memo of the
+	// last resolution made from a reset stream (see Resolve).
+	Replays int
+	// memo is the last resolution Resolve made from a reset stream.
+	memo *resolution
 }
 
 type counterState struct {
@@ -67,17 +80,47 @@ func NewProber(w *world.World, seed int64) *Prober {
 // which is what the delta-vs-fresh bit-for-bit guarantee rests on.
 func (p *Prober) ResetStream() {
 	p.rng = rand.New(rand.NewSource(p.seed))
+	p.drawn, p.skip = 0, 0
 	p.clock = 0
 	clear(p.state)
 }
+
+// atReset reports whether the stream is where NewProber and
+// ResetStream leave it. Every probe draws from the RNG, so no draw
+// since the seed means no probe either.
+func (p *Prober) atReset() bool { return p.drawn == 0 }
+
+// draw returns the stream's next value, rand.Rand.Int63, first
+// drawing the values a replay moved the stream past.
+func (p *Prober) draw() int64 {
+	for ; p.skip > 0; p.skip-- {
+		p.rng.Int63()
+	}
+	p.drawn++
+	return p.rng.Int63()
+}
+
+// uniform is rand.Rand.Float64 over draw: a value in [0, 1), drawn
+// again in the (never seen) case that rounds to 1.
+func (p *Prober) uniform() float64 {
+	for {
+		if f := float64(p.draw()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// ipid is rand.Rand.Intn(1<<16) over draw: the top bits of one value,
+// masked.
+func (p *Prober) ipid() uint32 { return uint32(p.draw()>>32) & (1<<16 - 1) }
 
 // counter returns r's counter state, drawing its base and rate at the
 // router's first shared-counter probe.
 func (p *Prober) counter(r world.RouterID) *counterState {
 	cs := &p.state[r]
 	if cs.rate == 0 {
-		cs.base = uint32(p.rng.Intn(1 << 16))
-		cs.rate = 50 + p.rng.Float64()*4950
+		cs.base = p.ipid()
+		cs.rate = 50 + p.uniform()*4950
 	}
 	return cs
 }
@@ -91,7 +134,7 @@ func (p *Prober) Probe(ip netaddr.IP) (uint16, bool) {
 // probe is Probe for an interface already looked up; nil is an address
 // on no interface, which never answers.
 func (p *Prober) probe(ifc *world.Interface) (uint16, bool) {
-	p.clock += p.perTick * (0.8 + 0.4*p.rng.Float64())
+	p.clock += p.perTick * (0.8 + 0.4*p.uniform())
 	p.Probes++
 	if ifc == nil {
 		return 0, false
@@ -103,7 +146,7 @@ func (p *Prober) probe(ifc *world.Interface) (uint16, bool) {
 	case world.IPIDConstant:
 		return 0, true
 	case world.IPIDRandom:
-		return uint16(p.rng.Intn(1 << 16)), true
+		return uint16(p.ipid()), true
 	default: // shared counter
 		cs := p.counter(ifc.Router)
 		cs.sent++
@@ -172,19 +215,62 @@ const (
 	velocityTol      = 0.10 // 10% sharding tolerance
 )
 
-// Resolve runs the full MIDAR-like pipeline over the candidate addresses.
-func Resolve(p *Prober, ips []netaddr.IP) *Sets {
-	// Deduplicate and sort for determinism.
-	uniq := make(map[netaddr.IP]bool, len(ips))
-	for _, ip := range ips {
-		uniq[ip] = true
-	}
-	var targets []netaddr.IP
-	for ip := range uniq {
-		targets = append(targets, ip)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+// resolution is one Resolve call made from a reset stream: its sorted
+// distinct targets, its sets, and the prober state it left behind.
+type resolution struct {
+	targets []netaddr.IP
+	sets    *Sets
+	clock   float64
+	state   []counterState
+	probes  int
+	draws   int64
+}
 
+// Resolve runs the full MIDAR-like pipeline over the candidate
+// addresses, in ascending address order with duplicates dropped.
+//
+// Resolution is a pure function of the stream position it starts from
+// and of that target set, so the prober keeps the last resolution it
+// made from a reset stream. A Resolve from a reset stream over the same
+// set is a replay: it returns the memoized Sets, books the same number
+// of probes, and leaves the clock, the counter state and the RNG where
+// the resolution left them, so every later probe answers as if it had
+// run. Replays counts these. The memo rests on alias truth never
+// changing under a live prober: a world delta edits only facility
+// lists, never a router's interfaces or its IP-ID behaviour. A replay
+// shares the memoized Sets with every earlier caller; Sets is never
+// written once built.
+func Resolve(p *Prober, ips []netaddr.IP) *Sets {
+	targets := slices.Clone(ips)
+	slices.Sort(targets)
+	targets = slices.Compact(targets)
+
+	fromReset := p.atReset()
+	if m := p.memo; fromReset && m != nil && slices.Equal(m.targets, targets) {
+		p.clock = m.clock
+		copy(p.state, m.state)
+		p.Probes += m.probes
+		p.drawn, p.skip = m.draws, m.draws
+		p.Replays++
+		return m.sets
+	}
+	probes := p.Probes
+	s := resolve(p, targets)
+	if fromReset {
+		p.memo = &resolution{
+			targets: targets,
+			sets:    s,
+			clock:   p.clock,
+			state:   slices.Clone(p.state),
+			probes:  p.Probes - probes,
+			draws:   p.drawn,
+		}
+	}
+	return s
+}
+
+// resolve is Resolve over sorted, distinct targets.
+func resolve(p *Prober, targets []netaddr.IP) *Sets {
 	// Stage 1: estimation. Probe each target and keep those with a
 	// usable monotonic counter, estimating its velocity. Each target's
 	// interface is looked up once, here; every later probe reuses it.

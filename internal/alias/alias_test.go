@@ -1,6 +1,8 @@
 package alias
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -229,5 +231,87 @@ func TestMonotonicBoundsTestAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { monotonicBoundsTest(p, a, b, 1000) }); allocs != 0 {
 		t.Errorf("monotonicBoundsTest allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestResolveReplaysFromReset: a Resolve from a reset stream over the
+// target set the prober last resolved from a reset stream is a replay.
+// It returns equal sets and leaves the prober where the resolution
+// left it, so the 200 probes after it answer as they do after a real
+// resolution, at the same clock and with the same probes booked since
+// the reset. Order and duplicates do not make a set different; another
+// set, or a stream not at its reset position, misses.
+func TestResolveReplaysFromReset(t *testing.T) {
+	w := world.Generate(world.Small())
+	var targets, further []netaddr.IP
+	for i, ifc := range w.Interfaces {
+		switch {
+		case i%3 == 0:
+			targets = append(targets, ifc.IP)
+		case len(further) < 199:
+			further = append(further, ifc.IP)
+		}
+	}
+	further = append(further, netaddr.MustParseIP("203.0.113.9")) // on no interface
+	type answer struct {
+		id uint16
+		ok bool
+	}
+	probeAll := func(p *Prober) []answer {
+		out := make([]answer, len(further))
+		for i, ip := range further {
+			out[i].id, out[i].ok = p.Probe(ip)
+		}
+		return out
+	}
+
+	a := NewProber(w, 5)
+	setsA := Resolve(a, targets)
+	answersA := probeAll(a)
+
+	b := NewProber(w, 5)
+	Resolve(b, targets)
+	b.ResetStream()
+	booked := b.Probes
+	shuffled := append([]netaddr.IP(nil), targets...)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	shuffled = append(shuffled, targets[:len(targets)/4]...)
+	setsB := Resolve(b, shuffled)
+	if b.Replays != 1 {
+		t.Fatalf("Replays = %d after resolving the same set from a reset stream, want 1", b.Replays)
+	}
+	if !reflect.DeepEqual(setsA.All(), setsB.All()) {
+		t.Fatal("the replay returned different sets")
+	}
+	for _, ip := range targets {
+		if setsA.SetID(ip) != setsB.SetID(ip) {
+			t.Fatalf("SetID(%v): %d resolved, %d replayed", ip, setsA.SetID(ip), setsB.SetID(ip))
+		}
+	}
+	if answersB := probeAll(b); !reflect.DeepEqual(answersA, answersB) {
+		t.Fatal("probes after the replay answered differently from probes after the resolution")
+	}
+	if a.Clock() != b.Clock() {
+		t.Fatalf("clock %v after the replay, %v after the resolution", b.Clock(), a.Clock())
+	}
+	if got := b.Probes - booked; got != a.Probes {
+		t.Fatalf("%d probes booked since the reset, the resolution booked %d", got, a.Probes)
+	}
+
+	// Not from a reset stream: the stream has moved, so no replay.
+	Resolve(b, targets)
+	// From a reset stream, over another set.
+	b.ResetStream()
+	Resolve(b, targets[1:])
+	if b.Replays != 1 {
+		t.Fatalf("Replays = %d after two resolutions that must miss, want 1", b.Replays)
+	}
+	// A replay moves the stream as far as the resolution did, so the
+	// same set resolved straight after it is no replay either.
+	b.ResetStream()
+	Resolve(b, targets[1:])
+	Resolve(b, targets[1:])
+	if b.Replays != 2 {
+		t.Fatalf("Replays = %d after a replay and a resolution straight after it, want 2", b.Replays)
 	}
 }

@@ -2,9 +2,11 @@ package cfs
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
+	"facilitymap/internal/alias"
 	"facilitymap/internal/delta"
 	"facilitymap/internal/netaddr"
 	"facilitymap/internal/world"
@@ -232,12 +234,22 @@ func TestDeltaNarrowsOnlyTouched(t *testing.T) {
 // stream every epoch must still equal the copy taken when it was
 // published: a surgical epoch shares records with epochs further back
 // than its predecessor. No published link or provenance list may be
-// the live state's own, which later epochs rewrite in place.
+// the live state's own, which later epochs rewrite in place. The
+// stream's re-ingestions replay the alias prober's memo, so epochs
+// share one alias Sets, which nothing may write through either.
 func TestDeltaEpochsNeverMutated(t *testing.T) {
 	for _, tc := range churnCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			var published, copies []*Result
+			var pipe *Pipeline
+			var sets []*alias.Sets // every alias Sets an epoch used, with a copy
+			var setCopies [][][]netaddr.IP
 			runChurn(t, tc, 28, nil, func(p *Pipeline, _ []delta.Delta, prev, res *Result) {
+				pipe = p
+				if s := p.st.sets; s != nil && !slices.Contains(sets, s) {
+					sets = append(sets, s)
+					setCopies = append(setCopies, cloneSets(s.All()))
+				}
 				for i, l := range res.Links {
 					if l == p.st.adjOrder[i] {
 						t.Fatalf("epoch %d: link %d is the live adjacency", res.Epoch, i)
@@ -258,8 +270,32 @@ func TestDeltaEpochsNeverMutated(t *testing.T) {
 			for i, r := range published {
 				requireEqualResults(t, fmt.Sprintf("epoch %d at the end of the stream", r.Epoch), copies[i], r)
 			}
+			if pipe.prober.Replays == 0 {
+				t.Fatal("no re-ingestion replayed the alias memo")
+			}
+			for i, s := range sets {
+				if !reflect.DeepEqual(s.All(), setCopies[i]) {
+					t.Fatalf("alias sets %d were written after their epoch used them", i)
+				}
+				for id, set := range setCopies[i] {
+					for _, ip := range set {
+						if s.SetID(ip) != id {
+							t.Fatalf("alias sets %d: %v moved from set %d to %d", i, ip, id, s.SetID(ip))
+						}
+					}
+				}
+			}
 		})
 	}
+}
+
+// cloneSets deep-copies alias sets.
+func cloneSets(all [][]netaddr.IP) [][]netaddr.IP {
+	out := make([][]netaddr.IP, len(all))
+	for i, set := range all {
+		out[i] = slices.Clone(set)
+	}
+	return out
 }
 
 // cloneResult deep-copies every exported field of r.

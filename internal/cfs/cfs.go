@@ -129,6 +129,10 @@ type Pipeline struct {
 	eng   engine
 	obsIn Observations
 	epoch int
+	// plan is obsIn.Paths compiled for re-ingestion (ingest.go); nil
+	// until the first re-ingestion after a run, and after a batch that
+	// took a path out of the corpus.
+	plan *ingestPlan
 
 	// What a surgical epoch carries forward from the one before it (see
 	// finish): the last published Result, the addresses its post-passes
@@ -157,11 +161,15 @@ type pipelineMetrics struct {
 	observed    *obs.Gauge   // cfs.observed
 
 	// Delta-ingestion observability: deltas folded in, adjacencies
-	// re-dirtied per epoch, and the published snapshot version.
+	// re-dirtied per epoch, the published snapshot version, and the
+	// alias rounds the prober answered from its memo of the last
+	// resolution from a reset stream.
 	deltasApplied *obs.Counter // cfs.delta.applied
 	deltaRedirty  *obs.Counter // cfs.delta.redirtied
 	snapshotVer   *obs.Gauge   // cfs.snapshot.version
+	aliasReplayed *obs.Counter // cfs.alias_rounds_replayed
 
+	phaseIngest       *obs.Histogram // cfs.phase.ingest
 	phaseAliasResolve *obs.Histogram // cfs.phase.alias_resolve
 	phaseConstraint   *obs.Histogram // cfs.phase.constraint
 	phaseAlias        *obs.Histogram // cfs.phase.alias
@@ -194,6 +202,8 @@ func resolveMetrics(o *obs.Obs) pipelineMetrics {
 		deltasApplied:     o.Counter("cfs.delta.applied"),
 		deltaRedirty:      o.Counter("cfs.delta.redirtied"),
 		snapshotVer:       o.Gauge("cfs.snapshot.version"),
+		aliasReplayed:     o.Counter("cfs.alias_rounds_replayed"),
+		phaseIngest:       o.Histogram("cfs.phase.ingest"),
 		phaseAliasResolve: o.Histogram("cfs.phase.alias_resolve"),
 		phaseConstraint:   o.Histogram("cfs.phase.constraint"),
 		phaseAlias:        o.Histogram("cfs.phase.alias"),

@@ -24,9 +24,12 @@ package cfs
 //     change which adjacencies exist, so the pipeline rebuilds state
 //     from the retained corpus — the original observations plus every
 //     targeted follow-up path the initial run issued — after applying
-//     the observation deltas to it. The alias prober's RNG stream is
-//     reset so the replay resolves exactly the owner sequence a fresh
-//     run over the same corpus would.
+//     the observation deltas to it. It folds the corpus compiled into
+//     an ingest plan (ingest.go) rather than replaying every path. The
+//     alias prober's RNG stream is reset so the replay resolves exactly
+//     the owner sequence a fresh run over the same corpus would; a pool
+//     equal to the last one resolved from a reset stream replays that
+//     resolution (alias.Resolve).
 
 import (
 	"errors"
@@ -137,7 +140,7 @@ func (p *Pipeline) ApplyDelta(log []delta.Delta) (*Result, error) {
 
 	delta.ApplyToDatabase(p.db, log)
 	p.reintern(log)
-	ApplyObservationDeltas(&p.obsIn, log)
+	p.editCorpus(log)
 
 	p.epoch++
 	p.m.deltasApplied.Add(int64(len(log)))
@@ -152,6 +155,23 @@ func (p *Pipeline) ApplyDelta(log []delta.Delta) (*Result, error) {
 	}
 	history, ts := p.surgicalEpoch(log)
 	return p.finish(p.st, history, ts), nil
+}
+
+// editCorpus applies log's observation records to the retained corpus
+// and drops the ingest plan when they took a path out of it: the plan
+// compiled the corpus by position, and the next re-ingestion compiles
+// it again. Appended paths leave the plan to be extended.
+func (p *Pipeline) editCorpus(log []delta.Delta) {
+	want := len(p.obsIn.Paths)
+	for _, d := range log {
+		if d.Kind == delta.CrossConnectAdd {
+			want++
+		}
+	}
+	ApplyObservationDeltas(&p.obsIn, log)
+	if len(p.obsIn.Paths) < want {
+		p.plan = nil
+	}
 }
 
 // reintern refreshes the interned facility sets the constraint passes
@@ -333,7 +353,8 @@ func (p *Pipeline) surgicalEpoch(log []delta.Delta) ([]IterationStats, *touchSet
 }
 
 // reingestEpoch rebuilds state from the retained (and now mutated)
-// corpus and re-converges. Targeted follow-ups stay off: the corpus
+// corpus, folding its ingest plan, and re-converges. Targeted
+// follow-ups stay off: the corpus
 // already contains every follow-up path the original run issued, and
 // re-measuring would fork the probe stream from the fresh-run
 // equivalent the differential compares against.
@@ -343,11 +364,25 @@ func (p *Pipeline) reingestEpoch() []IterationStats {
 	}
 	st := p.newState()
 	eng := p.newEngine(st)
-	st.ingestPaths(p.obsIn.Paths)
+	start := p.now()
+	st.ingestPlanned(p.ingestPlan(st))
+	p.m.phaseIngest.Observe(p.now().Sub(start))
 	for _, s := range p.obsIn.Sessions {
 		st.processSession(s)
 	}
 	st.captureProvBase()
 	p.st, p.eng = st, eng
 	return p.converge(st, eng, false)
+}
+
+// ingestPlan returns the retained corpus compiled for st's fold: the
+// plan is compiled at the first re-ingestion after a run or after a
+// batch took a path out of the corpus, and extended over the paths
+// appended since it was last used.
+func (p *Pipeline) ingestPlan(st *state) *ingestPlan {
+	if p.plan == nil {
+		p.plan = newIngestPlan()
+	}
+	p.plan.extend(p.obsIn.Paths, st.vpsByRouter)
+	return p.plan
 }

@@ -39,7 +39,9 @@ type engine interface {
 func (p *Pipeline) run(in Observations) *Result {
 	st := p.newState()
 	eng := p.newEngine(st)
+	start := p.now()
 	st.ingestPaths(in.Paths)
+	p.m.phaseIngest.Observe(p.now().Sub(start))
 	for _, s := range in.Sessions {
 		st.processSession(s)
 	}
@@ -48,7 +50,7 @@ func (p *Pipeline) run(in Observations) *Result {
 	// Retain the converged state, engine and corpus for ApplyDelta.
 	// The corpus copy grows with every targeted follow-up path, so a
 	// re-ingestion epoch can replay exactly what this run consumed.
-	p.st, p.eng, p.epoch = st, eng, 0
+	p.st, p.eng, p.epoch, p.plan = st, eng, 0, nil
 	p.obsIn = Observations{
 		Paths:    append([]trace.Path(nil), in.Paths...),
 		Sessions: append([]SessionObservation(nil), in.Sessions...),

@@ -196,10 +196,10 @@ type adjEvent struct {
 }
 
 // classifyPath is the lookup half of Step 1 (§4.2): it turns one
-// traceroute into adjacency events using only the IXP prefix trie and
-// ownership resolution, appending to events. It pairs consecutive
-// responsive hops straight from path.Hops, skipping silent hops and
-// zero addresses by the rule trace.Path.ResponsiveHops applies.
+// traceroute into adjacency events with classifyPair, appending to
+// events. It pairs consecutive responsive hops straight from
+// path.Hops, skipping silent hops and zero addresses by the rule
+// trace.Path.ResponsiveHops applies.
 func (st *state) classifyPath(path trace.Path, events []adjEvent) []adjEvent {
 	var prev netaddr.IP // the last responsive hop; zero before the first
 	for _, hop := range path.Hops {
@@ -211,35 +211,43 @@ func (st *state) classifyPath(path trace.Path, events []adjEvent) []adjEvent {
 		if h1 == 0 {
 			continue
 		}
-		if ix, ok := st.p.db.IXPByIP(h2); ok {
-			// Public peering (IP_A, IP_ixp, ...): the near interface h1
-			// belongs to the near member's router; h2 is the far
-			// router's port on the IXP LAN.
-			if _, isIXP := st.p.db.IXPByIP(h1); isIXP {
-				continue // consecutive IXP hops: ambiguous, discard
-			}
-			if _, ok := st.ownerOf(h1); !ok {
-				continue // unresolved interface: discard (§4.2 step 1)
-			}
-			ev := adjEvent{near: h1, other: h2, public: true, ix: ix}
-			if b, ok := st.ownerOf(h2); ok {
-				ev.portAS, ev.hasPortAS = b, true
-			}
+		if ev, ok := st.classifyPair(h1, h2); ok {
 			events = append(events, ev)
-			continue
 		}
-		// Private peering (IP_A, IP_B): both sides resolve to different
-		// ASes. Shared-/30 misattribution makes some of these look
-		// intra-AS until alias repair fixes the owners; adjacencies are
-		// re-derived from stored IPs each round, so repairs take effect.
-		a1, ok1 := st.ownerOf(h1)
-		a2, ok2 := st.ownerOf(h2)
-		if !ok1 || !ok2 || a1 == a2 {
-			continue
-		}
-		events = append(events, adjEvent{near: h1, other: h2})
 	}
 	return events
+}
+
+// classifyPair classifies one pair of consecutive responsive hops
+// using only the IXP prefix trie and ownership resolution; ok is false
+// when the pair is no peering adjacency.
+func (st *state) classifyPair(h1, h2 netaddr.IP) (ev adjEvent, ok bool) {
+	if ix, isIXP := st.p.db.IXPByIP(h2); isIXP {
+		// Public peering (IP_A, IP_ixp, ...): the near interface h1
+		// belongs to the near member's router; h2 is the far router's
+		// port on the IXP LAN.
+		if _, nearIXP := st.p.db.IXPByIP(h1); nearIXP {
+			return ev, false // consecutive IXP hops: ambiguous, discard
+		}
+		if _, known := st.ownerOf(h1); !known {
+			return ev, false // unresolved interface: discard (§4.2 step 1)
+		}
+		ev = adjEvent{near: h1, other: h2, public: true, ix: ix}
+		if b, known := st.ownerOf(h2); known {
+			ev.portAS, ev.hasPortAS = b, true
+		}
+		return ev, true
+	}
+	// Private peering (IP_A, IP_B): both sides resolve to different
+	// ASes. Shared-/30 misattribution makes some of these look
+	// intra-AS until alias repair fixes the owners; adjacencies are
+	// re-derived from stored IPs each round, so repairs take effect.
+	a1, ok1 := st.ownerOf(h1)
+	a2, ok2 := st.ownerOf(h2)
+	if !ok1 || !ok2 || a1 == a2 {
+		return ev, false
+	}
+	return adjEvent{near: h1, other: h2}, true
 }
 
 // applyPathEvents is the mutating half of Step 1: it folds classified
@@ -248,16 +256,7 @@ func (st *state) applyPathEvents(path trace.Path, events []adjEvent) int {
 	vp := st.vpsByRouter[path.SrcRouter]
 	added := 0
 	for _, ev := range events {
-		key := adjKey{ev.near, ev.other}
-		if _, dup := st.adjs[key]; !dup {
-			a := &Adjacency{Near: ev.near}
-			if ev.public {
-				a.Public, a.IXP, a.FarPort = true, ev.ix, ev.other
-			} else {
-				a.Far = ev.other
-			}
-			st.adjs[key] = a
-			st.adjOrder = append(st.adjOrder, a)
+		if st.addAdjacency(ev) {
 			added++
 		}
 		st.addToPool(ev.near)
@@ -269,6 +268,24 @@ func (st *state) applyPathEvents(path trace.Path, events []adjEvent) int {
 		}
 	}
 	return added
+}
+
+// addAdjacency registers ev's adjacency unless it exists, reporting
+// whether it was new.
+func (st *state) addAdjacency(ev adjEvent) bool {
+	key := adjKey{ev.near, ev.other}
+	if _, dup := st.adjs[key]; dup {
+		return false
+	}
+	a := &Adjacency{Near: ev.near}
+	if ev.public {
+		a.Public, a.IXP, a.FarPort = true, ev.ix, ev.other
+	} else {
+		a.Far = ev.other
+	}
+	st.adjs[key] = a
+	st.adjOrder = append(st.adjOrder, a)
+	return true
 }
 
 // processPath classifies one traceroute into adjacencies (Step 1, §4.2),
@@ -654,7 +671,9 @@ func (st *state) resolveAliases() {
 	if !st.p.cfg.UseAliasResolution || st.p.prober == nil {
 		return
 	}
+	replays := st.p.prober.Replays
 	st.sets = alias.Resolve(st.p.prober, st.pool)
+	st.p.m.aliasReplayed.Add(int64(st.p.prober.Replays - replays))
 	st.repaired = st.p.ipasn.Repair(st.sets.All())
 	// Give repaired owners to ports etc. that raw lookup missed.
 	for ip, asn := range st.repaired {

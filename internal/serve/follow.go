@@ -20,6 +20,10 @@ const (
 	// never ends its line, and holding it would grow the daemon by
 	// everything appended after it.
 	maxFollowLine = 1 << 20
+	// followTail is how many of the bytes just before the read offset
+	// each poll reads again, to tell a file rewritten in place from one
+	// appended to.
+	followTail = 64
 )
 
 // Follow tails a JSONL delta log — the file worldgen -churn -out
@@ -37,8 +41,11 @@ const (
 // and follows the new file from its start. When the open file shrinks
 // below the read offset (truncated in place), the tail drops the
 // partial line and rereads from the start. A truncation that regrows
-// the file past the old offset between two polls is not detected: the
-// tail resumes at the old offset.
+// the file past the old offset between two polls is caught by the last
+// bytes read: each poll reads the (up to 64) bytes just before the
+// offset again, and if they changed, the tail treats the file as
+// truncated. A rewrite whose bytes just before the old offset are the
+// ones read there is not detected: the tail resumes at the old offset.
 //
 // Malformed lines are counted (serve.follow.bad_lines) and skipped
 // rather than killing the tail; a batch System.Apply rejects is counted
@@ -66,6 +73,16 @@ func (s *Server) Follow(ctx context.Context, path string, poll time.Duration, ma
 	var skip bool  // dropping an overlong line through its newline
 	var pending []delta.Delta
 	chunk := make([]byte, followChunk)
+	tail := make([]byte, 0, 2*followTail) // the last bytes read before off
+	reread := make([]byte, followTail)
+
+	// rewritten reports whether the bytes just before off differ from
+	// the ones read there.
+	rewritten := func() bool {
+		got := reread[:len(tail)]
+		n, _ := f.ReadAt(got, off-int64(len(tail)))
+		return n < len(got) || !bytes.Equal(got, tail)
+	}
 
 	flush := func() error {
 		if len(pending) == 0 {
@@ -86,6 +103,7 @@ func (s *Server) Follow(ctx context.Context, path string, poll time.Duration, ma
 			n, rerr := f.Read(chunk)
 			off += int64(n)
 			data := chunk[:n]
+			tail = keepTail(tail, data)
 			if skip {
 				i := bytes.IndexByte(data, '\n')
 				if i < 0 {
@@ -147,13 +165,13 @@ func (s *Server) Follow(ctx context.Context, path string, poll time.Duration, ma
 					return err
 				}
 				f.Close()
-				f, off, buf, skip = nil, 0, nil, false
-			} else if open.Size() < off {
-				// Truncated in place.
+				f, off, buf, skip, tail = nil, 0, nil, false, tail[:0]
+			} else if open.Size() < off || rewritten() {
+				// Truncated in place, or rewritten since the last poll.
 				if _, err := f.Seek(0, io.SeekStart); err != nil {
 					return err
 				}
-				off, buf, skip = 0, nil, false
+				off, buf, skip, tail = 0, nil, false, tail[:0]
 			}
 		}
 		if f == nil {
@@ -166,4 +184,17 @@ func (s *Server) Follow(ctx context.Context, path string, poll time.Duration, ma
 			return err
 		}
 	}
+}
+
+// keepTail returns the last followTail bytes of tail followed by data,
+// kept in tail's array (whose capacity is at least 2*followTail).
+func keepTail(tail, data []byte) []byte {
+	if len(data) >= followTail {
+		return append(tail[:0], data[len(data)-followTail:]...)
+	}
+	tail = append(tail, data...)
+	if extra := len(tail) - followTail; extra > 0 {
+		tail = tail[:copy(tail, tail[extra:])]
+	}
+	return tail
 }

@@ -1147,6 +1147,51 @@ func TestFollowTail(t *testing.T) {
 	}
 }
 
+// TestFollowDetectsRewriteWithinOnePoll: a log rewritten in place with
+// different records that run past the old offset, all between two
+// polls, is read again from its start. The tail never sees the file
+// shorter than its offset, but the bytes just before the offset have
+// changed. Every new record applies, as its own batch, and no line is
+// counted bad; resuming at the old offset would land mid-record.
+func TestFollowDetectsRewriteWithinOnePoll(t *testing.T) {
+	sys := smallSystem(t)
+	sys.MapInterconnections()
+	s := startServer(t, sys, Options{})
+
+	path := t.TempDir() + "/churn.jsonl"
+	ctx, cancel := context.WithCancel(context.Background())
+	followDone := make(chan error, 1)
+	go func() { followDone <- s.Follow(ctx, path, 50*time.Millisecond, 1) }()
+	defer func() {
+		cancel()
+		if err := <-followDone; err != context.Canceled {
+			t.Errorf("Follow returned %v, want context.Canceled", err)
+		}
+	}()
+	waitEpoch := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); sys.Current().Epoch() < want; time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("epoch never reached %d (at %d, %d bad lines)", want, sys.Current().Epoch(), s.followBad.Value())
+			}
+		}
+	}
+	record := func(ip string) string {
+		return `{"kind":"session_down","peer_ip":"` + ip + `","peer_as":64999}` + "\n"
+	}
+
+	appendFile(t, path, []byte(record("10.9.9.1")+record("10.9.9.2")))
+	waitEpoch(2)
+	rewrite := record("10.9.19.11") + record("10.9.19.12") + record("10.9.19.13")
+	if err := os.WriteFile(path, []byte(rewrite), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	waitEpoch(5)
+	if got := s.followBad.Value(); got != 0 {
+		t.Fatalf("bad-line counter %d after a rewrite, want 0", got)
+	}
+}
+
 // TestFollowCapsUnterminatedLine: a followed log that grows past
 // maxFollowLine without a newline (a wrong path, or a writer that died
 // mid-record) costs one bad line, counted as soon as the line passes
